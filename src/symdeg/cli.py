@@ -26,6 +26,7 @@ from . import quadrics
 from .dualvariety import dual_dimension, rank_relation_check
 from .errors import InternalCheckError
 from .hessian import (
+    DEFAULT_SAMPLE_BUDGET,
     HessianForm,
     ambient_rank_certificate,
     build_hessian,
@@ -52,7 +53,10 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 def _read_inline_or_file(text: str) -> str:
     if text.startswith("@"):
-        return Path(text[1:]).read_text()
+        try:
+            return Path(text[1:]).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read {text[1:]!r}: {exc.strerror or exc}") from None
     return text
 
 
@@ -94,7 +98,10 @@ def _parse_point(text: str) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise ValueError(f"malformed point {text!r}")
-    return [Fraction(p) for p in parts]
+    try:
+        return [Fraction(p) for p in parts]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in point {text!r}") from None
 
 
 def _parse_points_arg(text: str) -> list[list[Fraction]]:
@@ -239,7 +246,8 @@ def _cmd_check_rank_relation(args: argparse.Namespace) -> int:
 def _cmd_quad_betti(args: argparse.Namespace) -> int:
     config = _config(args)
     r = args.r
-    table = [quadrics.quadric_betti(r, i) for i in range(max(r - 1, 0))]
+    # at least one library call, so r < 2 is rejected as in quadric_betti
+    table = [quadrics.quadric_betti(r, i) for i in range(max(r - 1, 1))]
     return _emit(
         config,
         {"r": r, "table": table},
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--sample-budget",
         type=int,
-        default=8,
+        default=DEFAULT_SAMPLE_BUDGET,
         help="random evaluation points for generic-rank guessing",
     )
     sub = parser.add_subparsers(dest="command", required=True)

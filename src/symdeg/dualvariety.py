@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .errors import InternalCheckError
 from .hessian import (
+    DEFAULT_SAMPLE_BUDGET,
     HessianForm,
     build_hessian,
     evaluate_hessian,
@@ -310,7 +311,9 @@ def rank_relation_check(f: MultiPoly, p: Point) -> RankRelationReport:
     )
 
 
-def dual_dimension(f: MultiPoly, seed: int = 0, sample_budget: int = 8) -> int:
+def dual_dimension(
+    f: MultiPoly, seed: int = 0, sample_budget: int = DEFAULT_SAMPLE_BUDGET
+) -> int:
     """Dimension of the dual variety of the hypersurface f = 0.
 
     Equals the certified generic Hessian rank on the hypersurface minus

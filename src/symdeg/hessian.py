@@ -5,18 +5,28 @@ entries are homogeneous of degree d-2, so the rank at a projective point
 does not depend on the chosen lift.  Generic ranks (over the ambient
 space and over the hypersurface f = 0) are certified symbolically: a
 randomized evaluation guesses the answer, then an explicit minor
-certificate removes the randomness from the claim.
+certificate removes the randomness from the claim.  The form is
+symmetric, so the certificates search principal minors only: C(n, k)
+index sets per size instead of C(n, k)^2.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError
-from .linalg import inverse_rational, mat_vec, minor_dets, rank_rational
+from .linalg import (
+    _colex_subsets,
+    det_poly,
+    det_rational,
+    inverse_rational,
+    mat_vec,
+    rank_rational,
+)
 from .poly import MultiPoly, compose_linear, differentiate, divides, evaluate, homogeneous_degree
 
 Point = Sequence[Fraction | int]
@@ -24,7 +34,7 @@ Point = Sequence[Fraction | int]
 # Numerator range for seeded sample points.  Small integers keep the
 # fraction-free elimination fast and are generic enough at this scale.
 _SAMPLE_BOUND = 10_000
-_DEFAULT_BUDGET = 8
+DEFAULT_SAMPLE_BUDGET = 8  # random evaluation points for generic-rank guessing
 
 
 @dataclass(frozen=True)
@@ -87,11 +97,13 @@ def rank_at(h: HessianForm, p: Point) -> int:
 class RankCertificate:
     """A certified generic rank.
 
-    ``witness_rows``/``witness_cols`` index a minor of size ``rank``
-    that is a nonzero polynomial (ambient case) or not divisible by f
-    (hypersurface case); the search already verified that every larger
-    minor fails the same test, so the rank value needs no trust in the
-    randomized guessing phase.
+    The witness is a principal minor: ``witness_rows == witness_cols``
+    index a principal submatrix of size ``rank`` whose determinant
+    ``witness_minor`` is a nonzero polynomial (ambient case) or not
+    divisible by f (hypersurface case).  The search already verified
+    that no larger principal minor passes the same test, which by the
+    principal-minor theorem bounds the rank, so the rank value needs no
+    trust in the randomized guessing phase.
     """
 
     rank: int
@@ -109,51 +121,96 @@ def _sample_point(rng: random.Random, n: int) -> list[Fraction]:
             return coords
 
 
-def _guess_rank(h: HessianForm, seed: int, sample_budget: int) -> int:
+def _guess_rank(
+    h: HessianForm, seed: int, sample_budget: int
+) -> tuple[int, list[list[Fraction]]]:
+    """Largest rank over the sample points, with the matrix that reached it."""
     rng = random.Random(seed)
-    guess = 0
+    guess, best = -1, []
     for _ in range(max(1, sample_budget)):
-        point = _sample_point(rng, h.size)
-        guess = max(guess, rank_rational(evaluate_hessian(h, point)))
+        matrix = evaluate_hessian(h, _sample_point(rng, h.size))
+        rank = rank_rational(matrix)
+        if rank > guess:
+            guess, best = rank, matrix
         if guess == h.size:
             break
-    return guess
+    return guess, best
 
 
-def _first_minor(h: HessianForm, k: int, keep) -> Optional[tuple[tuple[int, ...], tuple[int, ...], MultiPoly]]:
-    for rows, cols, det in minor_dets(h.hessian, k):
-        if keep(det):
-            return rows, cols, det
-    return None
+Minors = dict[tuple[int, ...], MultiPoly]
+
+
+def _principal_minor(h: HessianForm, s: tuple[int, ...], dets: Minors) -> MultiPoly:
+    """Determinant of the principal submatrix on ``s``, computed once per ``dets``."""
+    det = dets.get(s)
+    if det is None:
+        sub = [[h.hessian[i][j] for j in s] for i in s]
+        det = dets[s] = det_poly(sub) if s else MultiPoly.constant(1, h.size)
+    return det
+
+
+def _certificate(
+    s: tuple[int, ...], det: MultiPoly, on_hypersurface: bool, caveat: Optional[str] = None
+) -> RankCertificate:
+    return RankCertificate(
+        rank=len(s),
+        witness_rows=s,
+        witness_cols=s,
+        witness_minor=det,
+        on_hypersurface=on_hypersurface,
+        caveat=caveat,
+    )
+
+
+def _ambient_certificate(
+    h: HessianForm, seed: int, sample_budget: int, dets: Minors
+) -> RankCertificate:
+    k, at_sample = _guess_rank(h, seed, sample_budget)
+    # The sample matrix is symmetric of rank k, so some principal k-minor
+    # is nonzero at the sample point, hence nonzero as a polynomial.
+    witness = next(
+        (
+            s
+            for s in _colex_subsets(h.size, k)
+            if det_rational([[at_sample[i][j] for j in s] for i in s]) != 0
+        ),
+        None,
+    )
+    if witness is None:
+        raise InternalCheckError("sample rank has no nonzero principal minor at its point")
+    if _principal_minor(h, witness, dets).is_zero():
+        raise InternalCheckError("witness minor is nonzero at a point but zero symbolically")
+    while True:
+        rest = [i for i in range(h.size) if i not in witness]
+        bordered = (
+            tuple(sorted(witness + extra))
+            for size in (1, 2)
+            for extra in itertools.combinations(rest, size)
+        )
+        bigger = next((s for s in bordered if not _principal_minor(h, s, dets).is_zero()), None)
+        if bigger is None:
+            return _certificate(witness, dets[witness], on_hypersurface=False)
+        witness = bigger
 
 
 def ambient_rank_certificate(
-    h: HessianForm, seed: int = 0, sample_budget: int = _DEFAULT_BUDGET
+    h: HessianForm, seed: int = 0, sample_budget: int = DEFAULT_SAMPLE_BUDGET
 ) -> RankCertificate:
-    """Largest k with a k x k minor that is a nonzero polynomial.
+    """Largest k with a principal k x k minor that is a nonzero polynomial.
 
-    A rank seen at any sample point is a lower bound for the symbolic
-    rank, so the guess can only undershoot and the certification loop
-    only ever climbs.
+    Soundness.  Over the field Q(x) the Hessian H is symmetric.  The
+    witness S is the first principal k-set (colex order) whose minor is
+    nonzero at the sample point that reached the guessed rank k; a
+    polynomial nonzero at a point is nonzero, and the symbolic
+    determinant is re-checked anyway.  With det H_S != 0, the Schur
+    complement B = H/H_S is symmetric, rank H = |S| + rank B, and the
+    bordered principal minors are det H_{S+i} = det H_S * B_ii and
+    det H_{S+i+j} = det H_S * (B_ii * B_jj - B_ij^2).  If all of them
+    vanish then B = 0 and rank H = |S|.  Otherwise a nonzero bordered
+    minor is a larger witness and the loop climbs from there, so the
+    sample guess may undershoot but never makes the answer wrong.
     """
-    k = _guess_rank(h, seed, sample_budget)
-    witness = _first_minor(h, k, lambda det: not det.is_zero())
-    if witness is None:
-        raise InternalCheckError("evaluation rank has no matching symbolic minor")
-    while k < h.size:
-        bigger = _first_minor(h, k + 1, lambda det: not det.is_zero())
-        if bigger is None:
-            break
-        k += 1
-        witness = bigger
-    rows, cols, det = witness
-    return RankCertificate(
-        rank=k,
-        witness_rows=rows,
-        witness_cols=cols,
-        witness_minor=det,
-        on_hypersurface=False,
-    )
+    return _ambient_certificate(h, seed, sample_budget, {})
 
 
 def _reduced_caveat(f: MultiPoly) -> Optional[str]:
@@ -176,43 +233,46 @@ def _reduced_caveat(f: MultiPoly) -> Optional[str]:
 
 
 def hypersurface_rank_certificate(
-    h: HessianForm, seed: int = 0, sample_budget: int = _DEFAULT_BUDGET
+    h: HessianForm, seed: int = 0, sample_budget: int = DEFAULT_SAMPLE_BUDGET
 ) -> RankCertificate:
-    """Largest k with a k x k minor not divisible by f.
+    """Largest k with a principal k x k minor not divisible by f.
 
-    Searches downward from the certified ambient rank; every minor of
-    every larger size has been checked divisible by the time a witness
-    is returned.  Irreducibility of f is the caller's responsibility;
+    Searches downward from the certified ambient rank, principal index
+    sets in colex order; every principal minor of every larger size has
+    been checked divisible by the time a witness is returned.  Each
+    determinant is computed once and shared with the ambient phase.
+
+    Soundness, for squarefree f with prime factors g.  A polynomial is
+    not divisible by f exactly when it is not divisible by some g, that
+    is, nonzero in the field K_g = Frac(Q[x]/(g)).  Over a field the rank
+    of a symmetric matrix is the largest size of a nonzero principal
+    minor (the principal-minor theorem; Kodiyalam-Lam-Swan).  So the
+    k found here is max_g rank of H over K_g, which is also the largest
+    k with some k x k minor, principal or not, not divisible by f.
+    Minors larger than the ambient rank are zero polynomials.
+    Irreducibility of f (one factor g) is the caller's responsibility;
     a cheap screen flags obviously non-reduced input.
     """
-    ambient = ambient_rank_certificate(h, seed=seed, sample_budget=sample_budget)
+    dets: Minors = {}
+    ambient = _ambient_certificate(h, seed, sample_budget, dets)
     caveat = _reduced_caveat(h.f)
     for k in range(ambient.rank, -1, -1):
-        witness = _first_minor(
-            h, k, lambda det: not det.is_zero() and divides(h.f, det) is None
-        )
-        if witness is not None:
-            rows, cols, det = witness
-            return RankCertificate(
-                rank=k,
-                witness_rows=rows,
-                witness_cols=cols,
-                witness_minor=det,
-                on_hypersurface=True,
-                caveat=caveat,
-            )
+        for s in _colex_subsets(h.size, k):
+            det = _principal_minor(h, s, dets)
+            if not det.is_zero() and divides(h.f, det) is None:
+                return _certificate(s, det, on_hypersurface=True, caveat=caveat)
     # k = 0 always ends the loop: the empty minor is 1 and deg f >= 2.
     raise InternalCheckError("divisibility search fell through the empty minor")
 
 
 def generic_rank_ambient(
-    h: HessianForm, seed: int = 0, sample_budget: int = _DEFAULT_BUDGET
+    h: HessianForm, seed: int = 0, sample_budget: int = DEFAULT_SAMPLE_BUDGET
 ) -> int:
     return ambient_rank_certificate(h, seed=seed, sample_budget=sample_budget).rank
 
 
 def generic_rank_on_hypersurface(
-    h: HessianForm, seed: int = 0, sample_budget: int = _DEFAULT_BUDGET
+    h: HessianForm, seed: int = 0, sample_budget: int = DEFAULT_SAMPLE_BUDGET
 ) -> int:
     return hypersurface_rank_certificate(h, seed=seed, sample_budget=sample_budget).rank
 

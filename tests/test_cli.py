@@ -259,6 +259,28 @@ def test_exit_two_on_bad_rank_argument(capsys):
     assert "even" in err
 
 
+def test_exit_two_on_zero_denominator(capsys):
+    code, out, err = run(capsys, "rank-at", "x0^2+x1^2", "1/0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: zero denominator in point '1/0,1'\n"
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_exit_two_on_unreadable_file(capsys, tmp_path, target):
+    path = tmp_path / "missing.txt" if target == "missing" else tmp_path
+    code, out, err = run(capsys, "dual-dim", f"@{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read '{path}'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("r", ["1", "0", "-3"])
+def test_exit_two_on_degenerate_quadric_rank(capsys, r):
+    code, out, err = run(capsys, "quad-betti", r)
+    assert (code, out) == (2, "")
+    assert "rank >= 2" in err
+
+
 def test_rational_point_coordinates_accepted(capsys):
     code, out, _ = run(capsys, "rank-at", FERMAT, "1,-1,0,0")
     assert code == 0

@@ -1,5 +1,6 @@
 """Hessian forms: construction, pointwise rank, certified generic rank, strata."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from symdeg import (
     MultiPoly,
     ambient_rank_certificate,
     build_hessian,
+    det_poly,
     differentiate,
     divides,
     equivariance_check,
@@ -19,6 +21,7 @@ from symdeg import (
     generic_rank_ambient,
     generic_rank_on_hypersurface,
     hypersurface_rank_certificate,
+    minor_dets,
     parse_poly,
     rank_at,
     stratify,
@@ -265,6 +268,97 @@ def test_generic_rank_is_seed_independent():
     h = quartic()
     assert generic_rank_ambient(h, seed=0) == generic_rank_ambient(h, seed=123)
     assert generic_rank_on_hypersurface(h, seed=7) == 3
+
+
+# -- principal minors against the all-minors search ------------------------------
+
+SYM_DET = "x0*x3*x5 + 2*x1*x2*x4 - x0*x4^2 - x3*x2^2 - x5*x1^2"
+
+
+def reference_ranks(h):
+    """(ambient, hypersurface) ranks from every minor, principal or not."""
+    ambient = next(
+        k
+        for k in range(h.size, -1, -1)
+        if any(not det.is_zero() for _, _, det in minor_dets(h.hessian, k))
+    )
+    on_x = next(
+        k
+        for k in range(ambient, -1, -1)
+        if any(
+            not det.is_zero() and divides(h.f, det) is None
+            for _, _, det in minor_dets(h.hessian, k)
+        )
+    )
+    return ambient, on_x
+
+
+def random_form(rng, n, degree):
+    xs = [MultiPoly.variable(i, n) for i in range(n)]
+    out = MultiPoly.zero(n)
+    while out.is_zero():
+        for _ in range(3):
+            term = MultiPoly.constant(rng.choice([-3, -2, -1, 1, 2, 3]), n)
+            for _ in range(degree):
+                term = term * rng.choice(xs)
+            out = out + term
+    return out
+
+
+def differential_inputs():
+    named = [
+        (QUARTIC, W),
+        (FERMAT, X),
+        (SYM_DET, [f"x{i}" for i in range(6)]),
+        ("x0*x1*x2", X[:3]),
+        ("x0^4 - x1^4", X[:2]),
+        ("x0^3", X[:2]),
+        ("x0^2*x1", X[:3]),
+        ("x0^2*x2^2 + 2*x0*x1^2*x2 + x1^4", X[:3]),
+    ]
+    polys = [parse_poly(text, names) for text, names in named]
+    rng = random.Random(20)
+    for n in (3, 4):
+        for _ in range(3):
+            a1, a2 = random_form(rng, n, 1), random_form(rng, n, 2)
+            polys += [a2 * a2, a1 * a1 * a1, a1 * a1 * a2, a2 * a2 * a1]
+    return polys
+
+
+@pytest.mark.parametrize("f", differential_inputs(), ids=lambda f: f.format())
+def test_principal_certificates_match_all_minors(f):
+    h = build_hessian(f)
+    ambient, on_x = reference_ranks(h)
+    for seed in (0, 3):
+        certs = (
+            ambient_rank_certificate(h, seed=seed),
+            hypersurface_rank_certificate(h, seed=seed),
+        )
+        assert [c.rank for c in certs] == [ambient, on_x]
+        for cert in certs:
+            s = cert.witness_rows
+            assert cert.witness_cols == s and len(s) == cert.rank
+            if s:
+                assert cert.witness_minor == det_poly([[h.hessian[i][j] for j in s] for i in s])
+            assert not cert.witness_minor.is_zero()
+        assert divides(h.f, certs[1].witness_minor) is None
+
+
+def test_quartic_witness_is_first_principal_triple():
+    cert = hypersurface_rank_certificate(quartic())
+    assert cert.witness_rows == cert.witness_cols == (0, 1, 2)
+
+
+def test_ambient_climb_recovers_from_undershooting_guess(monkeypatch):
+    # Every diagonal entry of this Hessian is zero, so no principal 1-minor
+    # is nonzero: climbing from a guess of 0 needs the bordered 2-minors.
+    from symdeg import hessian
+
+    monkeypatch.setattr(hessian, "_guess_rank", lambda h, seed, budget: (0, []))
+    h = build_hessian(parse_poly("x0*x1*x2", X[:3]))
+    cert = ambient_rank_certificate(h)
+    assert cert.rank == 3
+    assert cert.witness_minor == parse_poly("2*x0*x1*x2", X[:3])
 
 
 # -- stratification ------------------------------------------------------------
