@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from symdeg.cli import infer_variables, main
 
 QUARTIC = "w0^2*w3^2 - 6*w0*w1*w2*w3 + 4*w0*w2^3 + 4*w1^3*w3 - 3*w1^2*w2^2"
 FERMAT = "x0^3 + x1^3 + x2^3 + x3^3"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -207,6 +209,45 @@ def test_json_round_trip_revalidates(capsys):
     assert failed["ok"] is False
     assert failed["lhs"] > failed["rhs"]
     assert json.loads(json.dumps(payload, indent=2, sort_keys=True)) == payload
+
+
+# Every JSON-emitting subcommand, with the stdout bytes pinned in
+# tests/golden/<name>.json.  Rational coordinates cover the "p/q" form.
+JSON_GOLDEN_CASES = [
+    ("hessian", ("hessian", QUARTIC)),
+    ("rank-at", ("rank-at", QUARTIC, "0,1,0,0")),
+    ("rank-at-rational", ("rank-at", QUARTIC, "1/2,1,-3/4,0")),
+    ("stratify", ("stratify", QUARTIC, "1,0,0,0;0,1,0,0;1/2,1,-3/4,0")),
+    ("generic-rank-ambient", ("generic-rank", QUARTIC)),
+    ("generic-rank-hypersurface", ("generic-rank", "--on-hypersurface", QUARTIC)),
+    ("dual-dim", ("dual-dim", FERMAT)),
+    ("check-rank-relation", ("check-rank-relation", FERMAT, "1,-1,0,0")),
+    ("check-rank-relation-rational", ("check-rank-relation", FERMAT, "1/2,-1/2,0,0")),
+    ("quad-betti", ("quad-betti", "6")),
+    ("lh-dim-quadric", ("lh-dim", "--betti", "1,0,1,0,1", "--quadric-rank", "4", "6")),
+    ("lh-dim-projective", ("lh-dim", "--betti", "1,0,1,0,1", "--projective-fiber", "3", "8")),
+    ("nonsurj", ("nonsurj", "--betti", "1,0,1,0,1", "--r", "4", "--d", "2")),
+    ("torsion-r5", ("torsion", "--betti", "1,0,1", "--r", "5", "--d", "1")),
+    ("torsion-r1", ("torsion", "--betti", "1", "--r", "1", "--d", "0")),
+    ("bounds-replay-4-3-1", ("bounds", "replay", "4", "3", "1")),
+    ("bounds-replay-4-4-1", ("bounds", "replay", "4", "4", "1")),
+    ("bounds-replay-6-2-2", ("bounds", "replay", "6", "2", "2", "--betti", "1,0,2,0,1")),
+]
+
+
+def _json_argv(argv):
+    """argv with ``--format json`` placed after the (sub)command name."""
+    cut = 2 if argv[0] == "bounds" else 1
+    return [*argv[:cut], "--format", "json", *argv[cut:]]
+
+
+@pytest.mark.parametrize(
+    "name, argv", JSON_GOLDEN_CASES, ids=[name for name, _ in JSON_GOLDEN_CASES]
+)
+def test_json_golden(capsys, name, argv):
+    code, out, err = run(capsys, *_json_argv(argv))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
 # -- seeds and budgets ----------------------------------------------------------------
