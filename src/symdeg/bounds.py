@@ -40,9 +40,6 @@ class BoundStep:
     rhs: int
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {"statement": self.statement, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -59,17 +56,6 @@ class BoundReport:
     @property
     def consistent(self) -> bool:
         return all(step.ok for step in self.steps)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "r": self.r,
-            "d": self.d,
-            "n": self.n,
-            "steps": [step.to_json_dict() for step in self.steps],
-            "verdict": self.verdict,
-            "certificate": self.certificate.to_json_dict(),
-        }
 
 
 def replay_main_theorem(N: int, r: int, d: int, betti: Sequence[int]) -> BoundReport:

@@ -2,8 +2,10 @@
 
 Every command accepts ``--format json`` for a machine-readable report
 with a top-level ``"schema": 1`` field; identical invocations produce
-byte-identical JSON.  Exit codes: 0 success, 2 bad input, 3 failed
-internal consistency check.
+byte-identical JSON.  JSON encoding lives only in this module: library
+reports are plain dataclasses, and ``to_json`` turns them into JSON
+values.  Exit codes: 0 success, 2 bad input, 3 failed internal
+consistency check.
 
 Polynomials are passed inline or as ``@path``.  Variable names come
 from ``--vars`` or are inferred: indexed names sharing one alphabetic
@@ -16,7 +18,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,16 +37,6 @@ from .hessian import (
     stratify,
 )
 from .poly import MultiPoly, parse_poly
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Reproducibility knobs shared by all commands."""
-
-    command: str
-    seed: int
-    output_format: str
-    sample_budget: int
 
 
 _INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(\d+)\Z")
@@ -123,24 +115,27 @@ def _parse_betti(text: str) -> list[int]:
         raise ValueError(f"malformed Betti vector {text!r}") from None
 
 
-def _frac_json(x: Fraction):
-    return x.numerator if x.denominator == 1 else str(x)
+def to_json(value):
+    """JSON value of a report: the one place symdeg decides JSON encoding.
+
+    A dataclass becomes {field name: value}, tuples and lists become
+    lists, and a Fraction becomes an int, or "p/q" when its denominator
+    is not 1.  Other values pass through unchanged.
+    """
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else str(value)
+    return value
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        seed=args.seed,
-        output_format=args.format,
-        sample_budget=args.sample_budget,
-    )
-
-
-def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> int:
-    if config.output_format == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> int:
+    if args.format == "json":
         body = dict(payload)
         body["schema"] = 1
-        body["command"] = config.command
+        body["command"] = args.command
         print(json.dumps(body, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -152,86 +147,70 @@ def _emit(config: RunConfig, payload: dict, text_lines: list[str]) -> int:
 
 
 def _cmd_hessian(args: argparse.Namespace) -> int:
-    config = _config(args)
     f, var_names = _poly_arg(args)
     h = build_hessian(f)
     matrix = [[entry.format(var_names) for entry in row] for row in h.hessian]
     lines = ["[" + ", ".join(row) + "]" for row in matrix]
     return _emit(
-        config,
+        args,
         {"vars": var_names, "degree": h.degree, "matrix": matrix},
         lines,
     )
 
 
 def _cmd_rank_at(args: argparse.Namespace) -> int:
-    config = _config(args)
     f, _ = _poly_arg(args)
     point = _parse_point(args.point)
     rank = rank_at(build_hessian(f), point)
     return _emit(
-        config,
-        {"point": [_frac_json(c) for c in point], "rank": rank},
+        args,
+        {"point": to_json(point), "rank": rank},
         [f"rank at ({args.point}): {rank}"],
     )
 
 
 def _cmd_stratify(args: argparse.Namespace) -> int:
-    config = _config(args)
     f, _ = _poly_arg(args)
     points = _parse_points_arg(args.points)
     strat = stratify(build_hessian(f), points)
-    lines = []
+    lines, ranks = [], {}
     for rank in sorted(strat.buckets):
         formatted = ["(" + ", ".join(str(c) for c in p) + ")" for p in strat.buckets[rank]]
         lines.append(f"rank {rank}: " + "; ".join(formatted))
-    return _emit(config, strat.to_json_dict(), lines or ["no points"])
+        ranks[str(rank)] = to_json(strat.buckets[rank])
+    return _emit(args, {"ranks": ranks}, lines or ["no points"])
 
 
 def _cmd_generic_rank(args: argparse.Namespace) -> int:
-    config = _config(args)
     f, var_names = _poly_arg(args)
     h: HessianForm = build_hessian(f)
     if args.on_hypersurface:
         cert = hypersurface_rank_certificate(
-            h, seed=config.seed, sample_budget=config.sample_budget
+            h, seed=args.seed, sample_budget=args.sample_budget
         )
         where = "on the hypersurface"
     else:
         cert = ambient_rank_certificate(
-            h, seed=config.seed, sample_budget=config.sample_budget
+            h, seed=args.seed, sample_budget=args.sample_budget
         )
         where = "ambient"
+    minor = cert.witness_minor.format(var_names)
     lines = [
         f"generic rank {where}: {cert.rank}",
-        f"witness minor rows {list(cert.witness_rows)} cols {list(cert.witness_cols)}: "
-        + cert.witness_minor.format(var_names),
+        f"witness minor rows {list(cert.witness_rows)} cols {list(cert.witness_cols)}: {minor}",
     ]
     if cert.caveat:
         lines.append(f"caveat: {cert.caveat}")
-    return _emit(
-        config,
-        {
-            "rank": cert.rank,
-            "on_hypersurface": cert.on_hypersurface,
-            "witness_rows": list(cert.witness_rows),
-            "witness_cols": list(cert.witness_cols),
-            "witness_minor": cert.witness_minor.format(var_names),
-            "caveat": cert.caveat,
-        },
-        lines,
-    )
+    return _emit(args, {**to_json(cert), "witness_minor": minor}, lines)
 
 
 def _cmd_dual_dim(args: argparse.Namespace) -> int:
-    config = _config(args)
     f, _ = _poly_arg(args)
-    value = dual_dimension(f, seed=config.seed, sample_budget=config.sample_budget)
-    return _emit(config, {"dual_dimension": value}, [f"dual variety dimension: {value}"])
+    value = dual_dimension(f, seed=args.seed, sample_budget=args.sample_budget)
+    return _emit(args, {"dual_dimension": value}, [f"dual variety dimension: {value}"])
 
 
 def _cmd_check_rank_relation(args: argparse.Namespace) -> int:
-    config = _config(args)
     f, _ = _poly_arg(args)
     point = _parse_point(args.point)
     report = rank_relation_check(f, point)
@@ -240,23 +219,27 @@ def _cmd_check_rank_relation(args: argparse.Namespace) -> int:
         f"rank A: {report.rank_a}",
         f"rank Q = rank A + 2: {'holds' if report.holds else 'FAILS'}",
     ]
-    return _emit(config, report.to_json_dict(), lines)
+    payload = {
+        "rank_Q": report.rank_q,
+        "rank_A": report.rank_a,
+        "holds": report.holds,
+        "transform": to_json(report.transform),
+    }
+    return _emit(args, payload, lines)
 
 
 def _cmd_quad_betti(args: argparse.Namespace) -> int:
-    config = _config(args)
     r = args.r
     # at least one library call, so r < 2 is rejected as in quadric_betti
     table = [quadrics.quadric_betti(r, i) for i in range(max(r - 1, 1))]
     return _emit(
-        config,
+        args,
         {"r": r, "table": table},
         [f"rank H^(2i) for i = 0..{r - 2}: {table}"],
     )
 
 
 def _cmd_lh_dim(args: argparse.Namespace) -> int:
-    config = _config(args)
     betti = _parse_betti(args.betti)
     if args.quadric_rank is not None:
         dim = quadrics.lh_quadric_dim(betti, args.quadric_rank, args.k)
@@ -278,22 +261,20 @@ def _cmd_lh_dim(args: argparse.Namespace) -> int:
             "dim": dim,
         }
         lines = [f"dim H_{args.k} of the P^{args.projective_fiber} bundle: {dim}"]
-    return _emit(config, payload, lines)
+    return _emit(args, payload, lines)
 
 
 def _cmd_nonsurj(args: argparse.Namespace) -> int:
-    config = _config(args)
     cert = quadrics.nonsurjectivity_certificate(_parse_betti(args.betti), args.r, args.d)
     lines = [
         f"source dim (degree {cert.degree_source}): {cert.dim_source}",
         f"target dim (degree {cert.degree_target}): {cert.dim_target}",
         "surjection impossible" if cert.surjection_impossible else "dimensions permit surjection",
     ]
-    return _emit(config, cert.to_json_dict(), lines)
+    return _emit(args, to_json(cert), lines)
 
 
 def _cmd_torsion(args: argparse.Namespace) -> int:
-    config = _config(args)
     cert = quadrics.torsion_certificate(_parse_betti(args.betti), args.r, args.d)
     lines = [
         f"quotient by the Gysin image: {cert.quotient}",
@@ -301,11 +282,10 @@ def _cmd_torsion(args: argparse.Namespace) -> int:
     ]
     if cert.relation:
         lines.append(f"fiber relation: {cert.relation}")
-    return _emit(config, cert.to_json_dict(), lines)
+    return _emit(args, to_json(cert), lines)
 
 
 def _cmd_bounds_replay(args: argparse.Namespace) -> int:
-    config = _config(args)
     if args.betti is None:
         betti = [0] * (2 * args.d) + [1]
     else:
@@ -316,7 +296,7 @@ def _cmd_bounds_replay(args: argparse.Namespace) -> int:
         mark = "ok" if step.ok else "FAIL"
         lines.append(f"step {k} [{mark}] {step.statement} ({step.lhs} vs {step.rhs})")
     lines.append(f"verdict: {report.verdict}")
-    return _emit(config, report.to_json_dict(), lines)
+    return _emit(args, to_json(report), lines)
 
 
 # -- parser ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ class AdaptedForm:
     transform: tuple[tuple[Fraction, ...], ...]
     f_adapted: MultiPoly
     degree: int
-    c: Fraction  # leading normal-form coefficient, 1 after rescaling
     g: MultiPoly
     ell: MultiPoly
     higher: MultiPoly
@@ -155,7 +154,6 @@ def adapt_coordinates(f: MultiPoly, p: Point) -> AdaptedForm:
         transform=tuple(tuple(row) for row in transform),
         f_adapted=f_adapted,
         degree=d,
-        c=Fraction(1),
         g=g,
         ell=ell,
         higher=higher,
@@ -278,18 +276,6 @@ class RankRelationReport:
     rank_a: int
     holds: bool
     transform: tuple[tuple[Fraction, ...], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rank_Q": self.rank_q,
-            "rank_A": self.rank_a,
-            "holds": self.holds,
-            "transform": [[_frac_json(x) for x in row] for row in self.transform],
-        }
-
-
-def _frac_json(x: Fraction):
-    return x.numerator if x.denominator == 1 else str(x)
 
 
 def rank_relation_check(f: MultiPoly, p: Point) -> RankRelationReport:

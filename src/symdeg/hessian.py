@@ -125,9 +125,11 @@ def _guess_rank(
     h: HessianForm, seed: int, sample_budget: int
 ) -> tuple[int, list[list[Fraction]]]:
     """Largest rank over the sample points, with the matrix that reached it."""
+    if sample_budget < 1:
+        raise ValueError("sample budget must be at least 1")
     rng = random.Random(seed)
     guess, best = -1, []
-    for _ in range(max(1, sample_budget)):
+    for _ in range(sample_budget):
         matrix = evaluate_hessian(h, _sample_point(rng, h.size))
         rank = rank_rational(matrix)
         if rank > guess:
@@ -285,18 +287,6 @@ class RankStratification:
     """Sample points bucketed by exact rank of the form."""
 
     buckets: dict[int, list[tuple[Fraction, ...]]] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ranks": {
-                str(rank): [[_coord_json(c) for c in point] for point in points]
-                for rank, points in sorted(self.buckets.items())
-            }
-        }
-
-
-def _coord_json(c: Fraction):
-    return c.numerator if c.denominator == 1 else str(c)
 
 
 def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:

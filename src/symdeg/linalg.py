@@ -5,6 +5,12 @@ Matrices are plain lists of rows.  Three entry kinds appear: Fraction
 and MultiPoly (symbolic matrices such as Hessians).  Everything here is
 exact; ranks and normal forms are certificates, not estimates.
 
+One fraction-free (Bareiss) elimination routine computes every rank and
+determinant: over Z, over Q after scaling rows to integers, and over
+Q[x] with ``divides`` as the exact division.  The inverse is the
+adjugate over the determinant.  Only the Smith normal form, which needs
+unimodular row and column operations, keeps a loop of its own.
+
 Determinism matters for golden tests: pivots are always the first
 admissible entry in row order, and minors stream in colexicographic
 order of index sets (rows outer, columns inner).
@@ -16,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InternalCheckError
 from .poly import MultiPoly, divides
@@ -64,113 +70,140 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
     return [[m[i][j] for i in range(rows)] for j in range(cols)]
 
 
-# -- rank and determinant over Q ---------------------------------------------
+# -- fraction-free elimination -------------------------------------------------
 
 
-def _clear_rows(m: RatMatrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators.  Rank-preserving."""
+def _bareiss(work: list[list], exact_div: Callable) -> Iterator[tuple[int, bool]]:
+    """Fraction-free (Bareiss) row echelon of ``work``, in place.
+
+    The one elimination loop for every rank and determinant, over any
+    integral domain: ``exact_div(d, n)`` returns n / d, or None when d
+    does not divide n (``divides`` for Q[x], ``_int_divides`` for Z).
+    The pivot is the first nonzero entry in row order of the leftmost
+    column that has one.  Each pivot column is yielded, with whether rows
+    were swapped, before the rows below are eliminated, so a determinant
+    stops at the first column without a pivot at no extra cost.  Entries
+    below a pivot are left as they were; no later step reads them.
+
+    Exactness (Bareiss 1968): by Sylvester's identity, once r pivots are
+    eliminated every entry of the rows below, right of the pivot columns,
+    is the (r+1)-minor on the pivot rows and columns plus its own row and
+    column.  The next numerator, a 2x2 combination of such minors, is the
+    (r+2)-minor times the previous pivot, so dividing by that pivot is
+    exact; an inexact division raises InternalCheckError.  The last pivot
+    of a square matrix is its determinant up to the sign of the swaps.
+    """
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
+    prev = None  # previous pivot; the first step divides by nothing
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            return
+        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        yield c, pivot_row != r
+        top = work[r]
+        pivot = top[c]
+        for row in work[r + 1 :]:
+            factor = row[c]
+            for j in range(c + 1, cols):
+                num = pivot * row[j] - factor * top[j]
+                if prev is not None:
+                    num = exact_div(prev, num)
+                    if num is None:
+                        raise InternalCheckError("Bareiss division was not exact")
+                row[j] = num
+        prev = pivot
+        r += 1
+
+
+def _int_divides(d: int, n: int) -> Optional[int]:
+    q, rem = divmod(n, d)
+    return None if rem else q
+
+
+def _det_sign(work: list[list], exact_div: Callable) -> int:
+    """Eliminate a square ``work``: the sign of its row swaps, or 0 if singular.
+
+    When nonzero, the determinant is this sign times ``work[-1][-1]``.
+    """
+    sign, pivots = 1, 0
+    for c, swapped in _bareiss(work, exact_div):
+        if c != pivots:
+            return 0
+        pivots += 1
+        if swapped:
+            sign = -sign
+    return sign if pivots == len(work) else 0
+
+
+# -- rank, determinant and inverse over Q ----------------------------------------
+
+
+def _clear_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
+    """Scale each row by the lcm of its denominators.  Rank-preserving.
+
+    Also returns the product of the row scales, by which the
+    determinant of the integer matrix exceeds that of ``m``.
+    """
     out = []
+    product = 1
     for row in m:
         fracs = [Fraction(x) for x in row]
         scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
         out.append([int(f * scale) for f in fracs])
-    return out
+        product *= scale
+    return out, product
 
 
 def rank_rational(m: RatMatrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination.
+    """Rank over Q: the number of pivots of integer Bareiss elimination.
 
     Rows are first scaled to integers; the Bareiss update keeps all
     intermediate values integral, and every interior division is checked
     to be exact.
     """
-    rows, cols = matrix_dims(m)
-    work = _clear_rows(m)
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = work[r][c] * work[i][j] - work[i][c] * work[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise InternalCheckError("Bareiss division was not exact")
-                work[i][j] = q
-            work[i][c] = 0
-        prev = work[r][c]
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
+    matrix_dims(m)
+    work, _ = _clear_rows(m)
+    return sum(1 for _ in _bareiss(work, _int_divides))
 
 
 def det_rational(m: RatMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix."""
+    """Exact determinant of a square rational matrix.
+
+    Integer Bareiss elimination of the row-scaled matrix, divided by the
+    product of the row scales.
+    """
     rows, cols = matrix_dims(m)
     if rows != cols:
         raise ValueError("determinant needs a square matrix")
-    work = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(cols):
-        pivot_row = None
-        for i in range(c, rows):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            det = -det
-        pivot = work[c][c]
-        det *= pivot
-        for i in range(c + 1, rows):
-            factor = work[i][c] / pivot
-            if factor == 0:
-                continue
-            for j in range(c, cols):
-                work[i][j] -= factor * work[c][j]
-    return det
+    if rows == 0:
+        return Fraction(1)
+    work, scale = _clear_rows(m)
+    sign = _det_sign(work, _int_divides)
+    return Fraction(sign * work[-1][-1], scale)
 
 
 def inverse_rational(m: RatMatrix) -> list[list[Fraction]]:
-    """Exact inverse via Gauss-Jordan; raises on singular input."""
+    """Exact inverse as adjugate over determinant; raises on singular input.
+
+    Entry (i, j) is the (j, i) cofactor divided by det m.
+    """
     rows, cols = matrix_dims(m)
     if rows != cols:
         raise ValueError("inverse needs a square matrix")
-    n = rows
-    work = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        work[c], work[pivot_row] = work[pivot_row], work[c]
-        inv[c], inv[pivot_row] = inv[pivot_row], inv[c]
-        pivot = work[c][c]
-        work[c] = [x / pivot for x in work[c]]
-        inv[c] = [x / pivot for x in inv[c]]
-        for i in range(n):
-            if i == c or work[i][c] == 0:
-                continue
-            factor = work[i][c]
-            work[i] = [a - factor * b for a, b in zip(work[i], work[c])]
-            inv[i] = [a - factor * b for a, b in zip(inv[i], inv[c])]
-    return inv
+    det = det_rational(m)
+    if det == 0:
+        raise ValueError("matrix is singular")
+
+    def cofactor(i: int, j: int) -> Fraction:
+        minor = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i]
+        return (-1) ** (i + j) * det_rational(minor)
+
+    return [[cofactor(j, i) / det for j in range(rows)] for i in range(rows)]
 
 
 # -- symbolic minors ----------------------------------------------------------
@@ -179,9 +212,9 @@ def inverse_rational(m: RatMatrix) -> list[list[Fraction]]:
 def det_poly(m: PolyMatrix) -> MultiPoly:
     """Determinant of a square polynomial matrix.
 
-    Fraction-free elimination over the polynomial ring: the Bareiss
-    update stays inside the ring and each interior division is exact.
-    A zero pivot column short-circuits to the zero determinant.
+    Bareiss elimination over the polynomial ring, with ``divides`` as
+    the exact division.  A column without a pivot stops the elimination
+    at once: the determinant is zero.
     """
     rows, cols = matrix_dims(m)
     if rows != cols:
@@ -190,29 +223,8 @@ def det_poly(m: PolyMatrix) -> MultiPoly:
     if rows == 0:
         return MultiPoly.constant(1, num_vars)
     work = [list(row) for row in m]
-    prev = MultiPoly.constant(1, num_vars)
-    sign = 1
-    for c in range(cols - 1):
-        pivot_row = None
-        for i in range(c, rows):
-            if not work[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return MultiPoly.zero(num_vars)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            sign = -sign
-        for i in range(c + 1, rows):
-            for j in range(c + 1, cols):
-                num = work[c][c] * work[i][j] - work[i][c] * work[c][j]
-                quotient = divides(prev, num)
-                if quotient is None:
-                    raise InternalCheckError("polynomial Bareiss division was not exact")
-                work[i][j] = quotient
-            work[i][c] = MultiPoly.zero(num_vars)
-        prev = work[c][c]
-    return work[rows - 1][cols - 1] * sign
+    sign = _det_sign(work, divides)
+    return work[-1][-1] * sign
 
 
 def _shared_num_vars(m: PolyMatrix) -> int:
@@ -376,9 +388,6 @@ class FGAbelianGroup:
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def to_json_dict(self) -> dict:
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
     def __str__(self) -> str:
         parts = []

@@ -129,16 +129,6 @@ class FiberGysin:
     source_rank: Optional[int] = None  # even rank: 1
     target_rank: Optional[int] = None  # even rank: 2
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"r": self.r, "n": self.n}
-        if self.relation is not None:
-            out["relation"] = self.relation
-            out["image_index"] = self.image_index
-        else:
-            out["source_rank"] = self.source_rank
-            out["target_rank"] = self.target_rank
-        return out
-
 
 def fiber_gysin_index(r: int) -> FiberGysin:
     """Index of the fiber Gysin image in middle degree.
@@ -173,6 +163,8 @@ def lh_quadric_dim(betti: Sequence[int], r: int, k: int) -> int:
     dimension in degree k - 2i.
     """
     b = _check_betti(betti)
+    if r < 2:
+        raise ValueError("quadric table needs rank >= 2")
     if k < 0:
         raise ValueError("homological degree must be non-negative")
     return sum(quadric_betti(r, i) * _betti_at(b, k - 2 * i) for i in range(r - 1))
@@ -203,18 +195,6 @@ class NonsurjectivityCertificate:
     dim_source: int
     dim_target: int
     surjection_impossible: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "d": self.d,
-            "n": self.n,
-            "degree_source": self.degree_source,
-            "degree_target": self.degree_target,
-            "dim_source": self.dim_source,
-            "dim_target": self.dim_target,
-            "surjection_impossible": self.surjection_impossible,
-        }
 
 
 def nonsurjectivity_certificate(
@@ -257,16 +237,6 @@ class PhiReplay:
     image: tuple[tuple[int, ...], ...]
     check: bool
     conclusion: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": [list(v) for v in self.a],
-            "b": [list(v) for v in self.b],
-            "image": [list(v) for v in self.image],
-            "check": self.check,
-            "conclusion": self.conclusion,
-        }
 
 
 def phi_torsion_replay(a: Sequence[IntVector], n: int) -> PhiReplay:
@@ -315,19 +285,6 @@ class TorsionCertificate:
     quotient: FGAbelianGroup
     element_order: int
     vertical_surjective: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "d": self.d,
-            "n": self.n,
-            "relation": self.relation,
-            "bottom_matrix": [list(row) for row in self.bottom_matrix],
-            "snf_diagonal": list(self.snf_diagonal),
-            "quotient": self.quotient.to_json_dict(),
-            "element_order": self.element_order,
-            "vertical_surjective": self.vertical_surjective,
-        }
 
 
 def torsion_certificate(betti: Sequence[int], r: int, d: int) -> TorsionCertificate:

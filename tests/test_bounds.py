@@ -15,6 +15,7 @@ from symdeg import (
     sym_stratum_dim,
     veronese_witness,
 )
+from symdeg.cli import to_json
 
 # -- the bound itself ---------------------------------------------------------
 
@@ -89,7 +90,7 @@ def test_replay_verdict_matches_raw_inequality():
 
 def test_replay_steps_serialize():
     report = replay_main_theorem(4, 3, 1, [1, 0, 1])
-    payload = report.to_json_dict()
+    payload = to_json(report)
     assert payload["verdict"] == "d <= N-r consistent"
     assert len(payload["steps"]) == 4
     assert all(set(s) == {"statement", "lhs", "rhs", "ok"} for s in payload["steps"])

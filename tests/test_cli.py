@@ -322,6 +322,21 @@ def test_exit_two_on_degenerate_quadric_rank(capsys, r):
     assert "rank >= 2" in err
 
 
+@pytest.mark.parametrize("r", ["1", "0", "-3"])
+def test_exit_two_on_degenerate_lh_fiber_rank(capsys, r):
+    code, out, err = run(capsys, "lh-dim", "--betti", "1,0,1", "--quadric-rank", r, "2")
+    assert (code, out) == (2, "")
+    assert err == "error: quadric table needs rank >= 2\n"
+
+
+@pytest.mark.parametrize("command", ["generic-rank", "dual-dim"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_exit_two_on_nonpositive_sample_budget(capsys, command, budget):
+    code, out, err = run(capsys, command, "--sample-budget", budget, FERMAT)
+    assert (code, out) == (2, "")
+    assert err == "error: sample budget must be at least 1\n"
+
+
 def test_rational_point_coordinates_accepted(capsys):
     code, out, _ = run(capsys, "rank-at", FERMAT, "1,-1,0,0")
     assert code == 0

@@ -387,11 +387,6 @@ def test_stratify_is_ambient_not_restricted():
     assert ranks == [2, 4]
 
 
-def test_stratification_json_shape():
-    strat = stratify(quartic(), [(1, 0, 0, 0)])
-    assert strat.to_json_dict() == {"ranks": {"1": [[1, 0, 0, 0]]}}
-
-
 def test_stratify_bucket_key_matches_rank_at():
     h = quartic()
     points = [(1, 2, 3, 4), (1, 1, 0, 0), (0, 0, 1, 5)]

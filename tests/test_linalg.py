@@ -22,6 +22,7 @@ from symdeg import (
     rank_rational,
     smith_normal_form,
 )
+from symdeg.cli import to_json
 from symdeg.linalg import mat_mul
 
 # -- oracles (written before the tests that consume them) --------------------
@@ -121,12 +122,22 @@ def test_det_rational_golden():
     assert det_rational([[Fraction(1, 2)]]) == Fraction(1, 2)
 
 
-@settings(deadline=None)
-@given(st.lists(st.lists(ints(), min_size=4, max_size=4), min_size=4, max_size=4))
-def test_det_matches_permutation_oracle(m):
-    assert det_rational(m) == oracle_det_permanent_style(
-        [[Fraction(x) for x in row] for row in m]
+def rationals():
+    return st.one_of(ints(), st.fractions(-9, 9, max_denominator=6))
+
+
+def square_matrices(entries, min_size, max_size):
+    return st.integers(min_size, max_size).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
     )
+
+
+@settings(deadline=None)
+@given(square_matrices(rationals(), 0, 5))
+def test_det_matches_permutation_oracle(m):
+    # rational entries exercise the row scaling; the empty matrix has det 1
+    expected = oracle_det_permanent_style([[Fraction(x) for x in row] for row in m]) if m else 1
+    assert det_rational(m) == expected
 
 
 def test_inverse_round_trip():
@@ -138,6 +149,22 @@ def test_inverse_round_trip():
 def test_inverse_singular_raises():
     with pytest.raises(ValueError):
         inverse_rational([[1, 2], [2, 4]])
+
+
+# Few small values, so that singular draws are common.
+SMALL_RATIONALS = st.one_of(st.integers(-2, 2), st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
+
+
+@settings(deadline=None)
+@given(square_matrices(SMALL_RATIONALS, 1, 4))
+def test_inverse_is_identity_or_singular(m):
+    n = len(m)
+    if det_rational(m) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            inverse_rational(m)
+        return
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    assert mat_mul(m, inverse_rational(m)) == identity
 
 
 # -- polynomial minors -----------------------------------------------------------
@@ -203,6 +230,21 @@ def test_det_poly_matches_permutation_oracle(data):
     vars_ = [MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)]
     cell = st.one_of(entries, st.sampled_from(vars_))
     m = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
+    assert det_poly(m) == oracle_det_permanent_style(m)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # column 1 has no pivot once column 0 is eliminated: det 0, early stop
+        [["x0", "x1", "1"], ["2*x0", "2*x1", "x1"], ["3*x0", "3*x1", "x0"]],
+        # column 1 needs a row swap once column 0 is eliminated
+        [["x0", "x1", "1"], ["2*x0", "2*x1", "x1"], ["x1", "x0", "x0"]],
+    ],
+    ids=["singular", "swap"],
+)
+def test_det_poly_column_vanishes_midway(rows):
+    m = [[parse_poly(t, ["x0", "x1"]) for t in row] for row in rows]
     assert det_poly(m) == oracle_det_permanent_style(m)
 
 
@@ -291,7 +333,7 @@ def test_group_validation():
 def test_group_str_and_json():
     g = FGAbelianGroup(free_rank=2, torsion=(2, 6))
     assert str(g) == "Z^2 + Z/2 + Z/6"
-    assert g.to_json_dict() == {"free_rank": 2, "torsion": [2, 6]}
+    assert to_json(g) == {"free_rank": 2, "torsion": [2, 6]}
     assert str(FGAbelianGroup(0, ())) == "0"
     assert FGAbelianGroup(0, ()).is_trivial()
 

@@ -15,6 +15,7 @@ from symdeg import (
     fiber_gysin_index,
     torsion_certificate,
 )
+from symdeg.cli import to_json
 
 betti_vectors = st.lists(st.integers(0, 5), min_size=1, max_size=11).map(
     lambda b: b[:-1] + [max(b[-1], 1)]
@@ -147,6 +148,13 @@ def test_lh_quadric_vanishes_above_top():
 def test_lh_quadric_rejects_negative_degree():
     with pytest.raises(ValueError):
         lh_quadric_dim([1], 4, -2)
+
+
+@pytest.mark.parametrize("r", [1, 0, -3])
+def test_lh_quadric_rejects_fiber_rank_below_two(r):
+    # the sum over range(r - 1) is empty here, so the check must be explicit
+    with pytest.raises(ValueError, match="rank >= 2"):
+        lh_quadric_dim([1, 0, 1], r, 2)
 
 
 @settings(deadline=None)
@@ -309,6 +317,6 @@ def test_torsion_json_round_trip():
     import json
 
     cert = torsion_certificate([1, 0, 1], 5, 1)
-    payload = cert.to_json_dict()
+    payload = to_json(cert)
     assert json.loads(json.dumps(payload)) == payload
     assert payload["quotient"] == {"free_rank": 0, "torsion": [2]}
