@@ -77,7 +77,7 @@ def infer_variables(text: str) -> list[str]:
 
 def _poly_arg(args: argparse.Namespace) -> tuple[MultiPoly, list[str]]:
     text = _read_inline_or_file(args.poly)
-    if args.vars:
+    if args.vars is not None:
         var_names = [v.strip() for v in args.vars.split(",") if v.strip()]
         if not var_names:
             raise ValueError("empty --vars")
@@ -310,11 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
         "certificates and dimension bounds.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    common.add_argument(
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    sampling.add_argument(
         "--sample-budget",
         type=int,
         default=DEFAULT_SAMPLE_BUDGET,
@@ -322,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def add(name: str, handler, help_text: str, *extra) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common, *extra], help=help_text)
         p.set_defaults(handler=handler, command=name)
         return p
 
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("points", help="semicolon-separated points, or @file with one per line")
     p.add_argument("--vars", help="comma-separated variable names")
 
-    p = add("generic-rank", _cmd_generic_rank, "certified generic Hessian rank")
+    p = add("generic-rank", _cmd_generic_rank, "certified generic Hessian rank", sampling)
     p.add_argument("poly", help="polynomial text or @file")
     p.add_argument("--vars", help="comma-separated variable names")
     p.add_argument(
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank on the hypersurface f = 0 instead of the ambient space",
     )
 
-    p = add("dual-dim", _cmd_dual_dim, "dual-variety dimension")
+    p = add("dual-dim", _cmd_dual_dim, "dual-variety dimension", sampling)
     p.add_argument("poly", help="polynomial text or @file")
     p.add_argument("--vars", help="comma-separated variable names")
 

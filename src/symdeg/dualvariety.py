@@ -303,7 +303,8 @@ def dual_dimension(
     """Dimension of the dual variety of the hypersurface f = 0.
 
     Equals the certified generic Hessian rank on the hypersurface minus
-    2.  Irreducibility of f is the caller's responsibility.
+    2.  Irreducibility of f is the caller's responsibility; a rank below
+    2 cannot come from a reduced irreducible f and raises ValueError.
     """
     d = homogeneous_degree(f)
     if d is None or d < 3:
@@ -311,7 +312,7 @@ def dual_dimension(
     h: HessianForm = build_hessian(f)
     r = generic_rank_on_hypersurface(h, seed=seed, sample_budget=sample_budget)
     if r < 2:
-        raise InternalCheckError(
+        raise ValueError(
             "generic rank below 2: input cannot define a reduced irreducible hypersurface"
         )
     return r - 2

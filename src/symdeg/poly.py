@@ -68,11 +68,6 @@ class MultiPoly:
         exps = tuple(1 if i == index else 0 for i in range(num_vars))
         return MultiPoly(num_vars, {exps: Fraction(1)})
 
-    @staticmethod
-    def monomial(coeff: Fraction | int, exps: Iterable[int]) -> MultiPoly:
-        exps = tuple(exps)
-        return MultiPoly(len(exps), {exps: Fraction(coeff)})
-
     # -- predicates and views ------------------------------------------
 
     def is_zero(self) -> bool:
@@ -261,7 +256,7 @@ def parse_poly(text: str, var_names: Sequence[str]) -> MultiPoly:
     if not tokens:
         raise PolyParseError("empty polynomial text")
 
-    result = MultiPoly.zero(num_vars)
+    terms: dict[Exponents, Fraction] = {}
     pos = 0
 
     def peek() -> Optional[tuple[str, str, int]]:
@@ -305,9 +300,8 @@ def parse_poly(text: str, var_names: Sequence[str]) -> MultiPoly:
             return Fraction(1), tuple(exps)
         raise PolyParseError(f"expected number or variable at position {at}, got {value!r}")
 
-    def parse_term() -> MultiPoly:
+    def add_term(sign: str) -> None:
         coeff, exps = parse_factor()
-        exps = list(exps)
         while True:
             nxt = peek()
             if nxt is None or nxt[:2] != ("op", "*"):
@@ -315,28 +309,22 @@ def parse_poly(text: str, var_names: Sequence[str]) -> MultiPoly:
             take()
             c2, e2 = parse_factor()
             coeff *= c2
-            exps = [a + b for a, b in zip(exps, e2)]
-        return MultiPoly(num_vars, {tuple(exps): coeff})
+            exps = tuple(a + b for a, b in zip(exps, e2))
+        terms[exps] = terms.get(exps, 0) + (-coeff if sign == "-" else coeff)
 
-    # leading sign
-    sign = Fraction(1)
-    first = peek()
-    if first is not None and first[0] == "op" and first[1] in "+-":
-        take()
-        if first[1] == "-":
-            sign = Fraction(-1)
-    result = result + sign * parse_term()
+    # optional leading sign, then terms joined by + and -
+    sign = "+"
+    if tokens[0][:2] in (("op", "+"), ("op", "-")):
+        sign = take()[1]
     while True:
+        add_term(sign)
         nxt = peek()
         if nxt is None:
-            break
-        kind, value, at = nxt
-        if kind != "op" or value not in "+-":
-            raise PolyParseError(f"expected '+' or '-' at position {at}, got {value!r}")
+            return MultiPoly(num_vars, terms)
+        kind, sign, at = nxt
+        if kind != "op" or sign not in "+-":
+            raise PolyParseError(f"expected '+' or '-' at position {at}, got {sign!r}")
         take()
-        term = parse_term()
-        result = result + (term if value == "+" else -term)
-    return result
 
 
 # -- calculus and structure --------------------------------------------------
@@ -362,7 +350,7 @@ def evaluate(p: MultiPoly, point: Sequence[Fraction | int]) -> Fraction:
     """Exact value of p at a rational point."""
     if len(point) != p.num_vars:
         raise ValueError(f"point has {len(point)} coordinates, expected {p.num_vars}")
-    coords = [Fraction(c) for c in point]
+    coords = [c if isinstance(c, Fraction) else Fraction(c) for c in point]
     total = Fraction(0)
     for exps, coeff in p.terms.items():
         value = coeff
@@ -390,27 +378,35 @@ def homogeneous_degree(p: MultiPoly) -> Optional[int]:
 def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
     """Quotient q with m = q*f, or None when f does not divide m.
 
-    Long division by the single divisor f under the graded-lex order:
-    membership in a principal ideal is decided by remainder zero, and
+    Long division by the single divisor f under the graded-lex order, in
+    place on one remainder dict: each step subtracts t*f, t = LT(r)/LT(f),
+    touching only the |f| terms it hits and dropping those that cancel.
+    Membership in a principal ideal is decided by remainder zero, and
     with one divisor the first leading term that LT(f) fails to divide
-    already lands in the remainder, so we can stop there.
+    already lands in the remainder (every later t*f lies below it in the
+    order), so we can stop there.
     """
     if f.num_vars != m.num_vars:
         raise ValueError("mixed variable counts")
     if f.is_zero():
         raise ValueError("division by the zero polynomial")
-    quotient = MultiPoly.zero(f.num_vars)
-    remainder = m
     f_exps, f_coeff = f.leading_term()
-    while not remainder.is_zero():
-        r_exps, r_coeff = remainder.leading_term()
+    remainder = dict(m.terms)
+    quotient: dict[Exponents, Fraction] = {}
+    while remainder:
+        r_exps = max(remainder, key=_grlex_key)
         diff = tuple(a - b for a, b in zip(r_exps, f_exps))
         if any(d < 0 for d in diff):
             return None
-        t = MultiPoly.monomial(r_coeff / f_coeff, diff)
-        quotient = quotient + t
-        remainder = remainder - t * f
-    return quotient
+        t = quotient[diff] = remainder[r_exps] / f_coeff
+        for exps, coeff in f.terms.items():
+            key = tuple(a + b for a, b in zip(diff, exps))
+            c = remainder.get(key, 0) - t * coeff
+            if c:
+                remainder[key] = c
+            else:
+                del remainder[key]
+    return MultiPoly(f.num_vars, quotient)
 
 
 def compose_linear(p: MultiPoly, matrix: Sequence[Sequence[Fraction | int]]) -> MultiPoly:

@@ -337,6 +337,37 @@ def test_exit_two_on_nonpositive_sample_budget(capsys, command, budget):
     assert err == "error: sample budget must be at least 1\n"
 
 
+def test_exit_two_on_generic_rank_below_two(capsys):
+    code, out, err = run(capsys, "dual-dim", "x0^3")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: generic rank below 2: input cannot define a reduced irreducible hypersurface\n"
+    )
+
+
+@pytest.mark.parametrize("names", ["", ","])
+def test_exit_two_on_empty_vars(capsys, names):
+    code, out, err = run(capsys, "hessian", "x0^2", "--vars", names)
+    assert (code, out) == (2, "")
+    assert err == "error: empty --vars\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hessian", "--seed", "1", "x0^2"),
+        ("quad-betti", "--sample-budget", "2", "4"),
+        ("hessian", "x0^2", "--seed", "5", "--sample-budget", "-3"),
+    ],
+)
+def test_sampling_flags_rejected_outside_sampling_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
 def test_rational_point_coordinates_accepted(capsys):
     code, out, _ = run(capsys, "rank-at", FERMAT, "1,-1,0,0")
     assert code == 0

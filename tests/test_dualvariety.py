@@ -68,6 +68,11 @@ def test_dual_dimension_rejects_quadrics():
         dual_dimension(parse_poly("x0*x3 + x1*x2", X))
 
 
+def test_dual_dimension_rejects_rank_below_two():
+    with pytest.raises(ValueError, match="generic rank below 2"):
+        dual_dimension(parse_poly("x0^3", X))
+
+
 def test_dual_dimension_bounded_by_ambient():
     for text, names in ((QUARTIC, W), (FERMAT, X)):
         f = parse_poly(text, names)

@@ -68,6 +68,29 @@ def points(n):
     return st.tuples(*[coeffs for _ in range(n)])
 
 
+# -- construction -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "num_vars, terms, message",
+    [
+        (2, {(1,): 1}, "length 1, expected 2"),
+        (2, {(1, -1): 1}, "negative exponent"),
+        (-1, {}, "num_vars must be non-negative"),
+    ],
+    ids=["wrong-length", "negative-exponent", "negative-num-vars"],
+)
+def test_multipoly_rejects_invalid_input(num_vars, terms, message):
+    with pytest.raises(ValueError, match=message):
+        MultiPoly(num_vars, terms)
+
+
+def test_multipoly_drops_zero_coefficients():
+    p = MultiPoly(2, {(1, 0): 0, (0, 1): Fraction(3, 2), (0, 0): Fraction(0)})
+    assert p.terms == {(0, 1): Fraction(3, 2)}
+    assert MultiPoly(1, {(2,): 0}).is_zero()
+
+
 # -- parsing ----------------------------------------------------------------
 
 
@@ -102,6 +125,19 @@ def test_parse_rational_coefficient_and_signs():
     assert p.terms == {(1,): Fraction(5, 2)}
 
 
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("x0 + x0", {(1, 0): Fraction(2)}),
+        ("x0 - x0 + x1", {(0, 1): Fraction(1)}),
+        ("x0*x0^2", {(3, 0): Fraction(1)}),
+        ("-x0 + x0", {}),
+    ],
+)
+def test_parse_collects_repeated_and_cancelling_terms(text, terms):
+    assert parse_poly(text, ["x0", "x1"]).terms == terms
+
+
 def test_parse_whitespace_insensitive():
     assert parse_poly(" x0 ^ 2 * x1 ", ["x0", "x1"]) == parse_poly("x0^2*x1", ["x0", "x1"])
 
@@ -129,6 +165,15 @@ def test_evaluate_quartic_at_unit_points():
 def test_evaluate_pythagorean():
     p = parse_poly("x0^2 + x1^2", ["x0", "x1"])
     assert evaluate(p, [3, 4]) == 25
+
+
+def test_evaluate_int_and_float_points_are_exact():
+    p = parse_poly("x0^2*x1 - 3*x1^3 + 1/3", ["x0", "x1"])
+    for point, exact in (([3, -2], [Fraction(3), Fraction(-2)]),
+                         ([0.5, -0.25], [Fraction(1, 2), Fraction(-1, 4)])):
+        value = evaluate(p, point)
+        assert type(value) is Fraction
+        assert value == evaluate(p, exact)
 
 
 def test_evaluate_dimension_mismatch():
@@ -252,6 +297,35 @@ def test_divides_recovers_quotient(pair):
         return
     result = divides(f, q * f)
     assert result == q
+
+
+@settings(deadline=None)
+@given(poly_pairs())
+def test_divides_matches_sympy_division(pair):
+    """None exactly when sympy's grlex division over QQ leaves a remainder."""
+    sympy = pytest.importorskip("sympy")
+    f, m = pair
+    if f.is_zero():
+        return
+    gens = sympy.symbols(f"x0:{f.num_vars}")
+
+    def to_sympy(p):
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+        return sympy.Poly.from_dict(terms, *gens, domain="QQ")
+
+    for dividend in (m, m * f):
+        quotients, remainder = sympy.reduced(
+            to_sympy(dividend), [to_sympy(f)], *gens, order="grlex", polys=True
+        )
+        result = divides(f, dividend)
+        if not remainder.is_zero:
+            assert result is None
+        else:
+            expected = quotients[0].as_dict() if quotients else {}
+            assert result is not None
+            assert result.terms == {
+                e: Fraction(int(c.p), int(c.q)) for e, c in expected.items() if c != 0
+            }
 
 
 # -- canonical text form ------------------------------------------------------------
