@@ -10,6 +10,8 @@ consistency check.
 Polynomials are passed inline or as ``@path``.  Variable names come
 from ``--vars`` or are inferred: indexed names sharing one alphabetic
 prefix (w0, w1, ...) imply the full range up to the largest index.
+An index with a leading zero (x00, x01) names no variable in that range,
+so it is not inferred.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .hessian import (
 from .poly import MultiPoly, parse_poly
 
 
-_INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(\d+)\Z")
+_INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(0|[1-9]\d*)\Z")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -321,48 +323,42 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SAMPLE_BUDGET,
         help="random evaluation points for generic-rank guessing",
     )
+    poly_input = argparse.ArgumentParser(add_help=False)
+    poly_input.add_argument("poly", help="polynomial text or @file")
+    poly_input.add_argument("--vars", help="comma-separated variable names")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, handler, help_text: str, *extra) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common, *extra], help=help_text)
-        p.set_defaults(handler=handler, command=name)
+        p.set_defaults(handler=handler, command=name, parser=p)
         return p
 
-    p = add("hessian", _cmd_hessian, "print the symbolic Hessian matrix")
-    p.add_argument("poly", help="polynomial text or @file")
-    p.add_argument("--vars", help="comma-separated variable names")
+    add("hessian", _cmd_hessian, "print the symbolic Hessian matrix", poly_input)
 
-    p = add("rank-at", _cmd_rank_at, "Hessian rank at a point")
-    p.add_argument("poly", help="polynomial text or @file")
+    p = add("rank-at", _cmd_rank_at, "Hessian rank at a point", poly_input)
     p.add_argument("point", help="comma-separated rational coordinates")
-    p.add_argument("--vars", help="comma-separated variable names")
 
-    p = add("stratify", _cmd_stratify, "bucket points by Hessian rank")
-    p.add_argument("poly", help="polynomial text or @file")
+    p = add("stratify", _cmd_stratify, "bucket points by Hessian rank", poly_input)
     p.add_argument("points", help="semicolon-separated points, or @file with one per line")
-    p.add_argument("--vars", help="comma-separated variable names")
 
-    p = add("generic-rank", _cmd_generic_rank, "certified generic Hessian rank", sampling)
-    p.add_argument("poly", help="polynomial text or @file")
-    p.add_argument("--vars", help="comma-separated variable names")
+    p = add(
+        "generic-rank", _cmd_generic_rank, "certified generic Hessian rank", sampling, poly_input
+    )
     p.add_argument(
         "--on-hypersurface",
         action="store_true",
         help="rank on the hypersurface f = 0 instead of the ambient space",
     )
 
-    p = add("dual-dim", _cmd_dual_dim, "dual-variety dimension", sampling)
-    p.add_argument("poly", help="polynomial text or @file")
-    p.add_argument("--vars", help="comma-separated variable names")
+    add("dual-dim", _cmd_dual_dim, "dual-variety dimension", sampling, poly_input)
 
     p = add(
         "check-rank-relation",
         _cmd_check_rank_relation,
         "verify rank Q = rank A + 2 at a smooth point",
+        poly_input,
     )
-    p.add_argument("poly", help="polynomial text or @file")
     p.add_argument("point", help="comma-separated rational coordinates")
-    p.add_argument("--vars", help="comma-separated variable names")
 
     p = add("quad-betti", _cmd_quad_betti, "rank table of a smooth quadric")
     p.add_argument("r", type=int, help="rank of the quadratic form")
@@ -389,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = bounds_sub.add_parser(
         "replay", parents=[common], help="step-by-step replay of the main bound"
     )
-    p.set_defaults(handler=_cmd_bounds_replay, command="bounds replay")
+    p.set_defaults(handler=_cmd_bounds_replay, command="bounds replay", parser=p)
     p.add_argument("N", type=int)
     p.add_argument("r", type=int)
     p.add_argument("d", type=int)
@@ -399,8 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # the subcommand's parser, so the usage line shown is its own
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -269,93 +269,70 @@ def smith_normal_form(
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """(U, D, V) with D = U*m*V diagonal, d1 | d2 | ..., all di >= 0.
 
-    Classical elimination: pull the smallest nonzero entry of the working
-    block to the pivot, run Euclidean reductions on its row and column,
-    and fold in any entry the pivot fails to divide.  U and V collect the
-    row and column operations and stay unimodular by construction.  The
-    factorization is re-multiplied before returning.
+    One reduction loop per diagonal position t.  Each round moves the
+    smallest nonzero entry of the block d[t:, t:] to (t, t), ties going
+    to the first in row-major order, and reduces the pivot's column and
+    row by floor division.  A nonzero remainder left in that column or
+    row sends the loop round again.  Once both are clear, the first row
+    with an entry the pivot does not divide is added to the pivot row,
+    and the loop goes round again; otherwise the pivot divides the whole
+    block and position t is done.  A zero block ends the work.  U and V
+    collect the row and column operations and stay unimodular by
+    construction.  The factorization is re-multiplied before returning.
+
+    Termination: |pivot| is a positive integer that never grows, and it
+    strictly decreases at least every second round.  A remainder is
+    smaller than the pivot, so after a round that leaves one the next
+    pick is smaller.  After a fold-in the next round keeps the pivot (it
+    is first in row-major order) or picks a smaller entry; keeping it,
+    it leaves a remainder in the pivot row, from the folded-in entry.
     """
     rows, cols = matrix_dims(m)
     d = [[int(x) for x in row] for row in m]
     u = identity_int(rows)
     v = identity_int(cols)
 
-    def swap_rows(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     def add_row(src: int, dst: int, factor: int) -> None:
-        d[dst] = [a + factor * b for a, b in zip(d[dst], d[src])]
-        u[dst] = [a + factor * b for a, b in zip(u[dst], u[src])]
+        for a in (d, u):
+            a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
 
     def add_col(src: int, dst: int, factor: int) -> None:
-        for row in d:
-            row[dst] += factor * row[src]
-        for row in v:
+        for row in (*d, *v):
             row[dst] += factor * row[src]
 
-    def negate_row(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
     limit = min(rows, cols)
-    while t < limit:
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+    for t in range(limit):
         while True:
-            # Euclid on the pivot column: any nonzero remainder becomes
-            # the new, strictly smaller pivot.
-            restart = False
+            block = [
+                (abs(d[i][j]), i, j)
+                for i in range(t, rows)
+                for j in range(t, cols)
+                if d[i][j]
+            ]
+            if not block:
+                break
+            _, i, j = min(block)
+            d[t], d[i] = d[i], d[t]
+            u[t], u[i] = u[i], u[t]
+            for row in (*d, *v):
+                row[t], row[j] = row[j], row[t]
+            pivot = d[t][t]
             for i in range(t + 1, rows):
-                if d[i][t] == 0:
-                    continue
-                q, rem = divmod(d[i][t], d[t][t])
-                add_row(t, i, -q)
-                if rem != 0:
-                    swap_rows(t, i)
-                    restart = True
-                    break
-            if restart:
-                continue
+                add_row(t, i, -(d[i][t] // pivot))
             for j in range(t + 1, cols):
-                if d[t][j] == 0:
-                    continue
-                q, rem = divmod(d[t][j], d[t][t])
-                add_col(t, j, -q)
-                if rem != 0:
-                    swap_cols(t, j)
-                    restart = True
-                    break
-            if restart:
+                add_col(t, j, -(d[t][j] // pivot))
+            if any(d[i][t] for i in range(t + 1, rows)) or any(d[t][t + 1 :]):
                 continue
-            # Row and column are clear; fold in any interior entry the
-            # pivot fails to divide, so the invariant chain comes out
-            # right without a separate pass.
-            offender = None
-            for i in range(t + 1, rows):
-                if any(d[i][j] % d[t][t] != 0 for j in range(t + 1, cols)):
-                    offender = i
-                    break
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % pivot for x in d[i][t + 1 :])),
+                None,
+            )
             if offender is None:
                 break
             add_row(offender, t, 1)
         if d[t][t] < 0:
-            negate_row(t)
-        t += 1
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
 
     product = mat_mul(mat_mul(u, [[int(x) for x in row] for row in m]), v)
     if product != d:

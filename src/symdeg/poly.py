@@ -420,28 +420,15 @@ def compose_linear(p: MultiPoly, matrix: Sequence[Sequence[Fraction | int]]) -> 
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("substitution matrix must be square of size num_vars")
     images = [
-        MultiPoly(
-            n,
-            {
-                tuple(1 if k == j else 0 for k in range(n)): Fraction(matrix[i][j])
-                for j in range(n)
-            },
-        )
-        for i in range(n)
+        MultiPoly(n, {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row)})
+        for row in matrix
     ]
-    result = MultiPoly.zero(n)
-    power_cache: list[dict[int, MultiPoly]] = [{} for _ in range(n)]
-
-    def power(i: int, e: int) -> MultiPoly:
-        cache = power_cache[i]
-        if e not in cache:
-            cache[e] = images[i] ** e
-        return cache[e]
-
+    out: dict[Exponents, Fraction] = {}
     for exps, coeff in p.terms.items():
         term = MultiPoly.constant(coeff, n)
-        for i, e in enumerate(exps):
+        for image, e in zip(images, exps):
             if e:
-                term = term * power(i, e)
-        result = result + term
-    return result
+                term = term * image**e
+        for mono, c in term.terms.items():
+            out[mono] = out.get(mono, 0) + c
+    return MultiPoly(n, out)

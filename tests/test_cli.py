@@ -1,9 +1,13 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdeg.cli import infer_variables, main
 
@@ -37,6 +41,13 @@ def test_infer_variables_mixed_prefix_rejected():
 def test_infer_variables_unindexed_rejected():
     with pytest.raises(ValueError, match="--vars"):
         infer_variables("a + b")
+
+
+@pytest.mark.parametrize("text, name", [("x00^2", "x00"), ("x01*x1", "x01")])
+def test_infer_variables_rejects_leading_zero_index(text, name):
+    # "x00" is not x0: inferring x0 would blame the parser for the name
+    with pytest.raises(ValueError, match=f"cannot infer variables from '{name}'"):
+        infer_variables(text)
 
 
 # -- basic commands ---------------------------------------------------------------
@@ -368,6 +379,22 @@ def test_sampling_flags_rejected_outside_sampling_commands(capsys, argv):
     assert "unrecognized arguments" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (("hessian", "x0^2", "--seed", "1"), "usage: symdeg hessian"),
+        (("bounds", "replay", "1", "1", "0", "--bogus"), "usage: symdeg bounds replay"),
+    ],
+)
+def test_unknown_argument_shows_subcommand_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.splitlines()[0].startswith(usage)
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
 def test_rational_point_coordinates_accepted(capsys):
     code, out, _ = run(capsys, "rank-at", FERMAT, "1,-1,0,0")
     assert code == 0
@@ -375,3 +402,66 @@ def test_rational_point_coordinates_accepted(capsys):
     code, out, _ = run(capsys, "rank-at", FERMAT, "1/2,-1/2,0,0")
     assert code == 0
     assert out.strip().endswith("2")
+
+
+# -- CLI contract fuzz ------------------------------------------------------------------
+
+SUBCOMMANDS = [
+    (),
+    ("hessian",),
+    ("rank-at",),
+    ("stratify",),
+    ("generic-rank",),
+    ("dual-dim",),
+    ("check-rank-relation",),
+    ("quad-betti",),
+    ("lh-dim",),
+    ("nonsurj",),
+    ("torsion",),
+    ("bounds",),
+    ("bounds", "replay"),
+]
+FLAGS = [
+    "--format", "json", "text", "--vars", "--seed", "--sample-budget", "--on-hypersurface",
+    "--betti", "--quadric-rank", "--projective-fiber", "--r", "--d", "-h",
+]
+
+
+@st.composite
+def small_polys(draw):
+    """Polynomial text in x0..x2: exponents <= 3, coefficients in -4..4."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = draw(st.integers(-4, 4))
+        exps = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+        factors = [str(abs(coeff))] + [f"x{i}^{e}" for i, e in enumerate(exps) if e]
+        pieces.append(("-" if coeff < 0 else "+") + "*".join(factors))
+    return " ".join(pieces).lstrip("+")
+
+
+coordinates = st.builds(
+    lambda n, d: str(n) if d == 1 else f"{n}/{d}", st.integers(-3, 3), st.integers(1, 3)
+)
+points = st.lists(
+    st.lists(coordinates, min_size=1, max_size=4).map(",".join), min_size=1, max_size=3
+).map(";".join)
+tokens = st.one_of(
+    small_polys(),
+    st.integers(-3, 12).map(str),
+    points,
+    st.text(alphabet="x0123^*+-/,;@ .", max_size=6),
+    st.sampled_from(FLAGS),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(SUBCOMMANDS), st.lists(tokens, max_size=6))
+def test_cli_contract_exit_zero_or_two_without_traceback(command, rest):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([*command, *rest])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -291,11 +291,22 @@ def snf_is_valid(m, u, d, v):
             assert b == 0
 
 
-def test_snf_diag_2_3():
-    m = [[2, 0], [0, 3]]
+@pytest.mark.parametrize(
+    "m, diagonal",
+    [
+        pytest.param([[2, 0], [0, 3]], [1, 6], id="diag-2-3"),
+        pytest.param([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12], id="3x3"),
+        pytest.param([[4, 0], [0, -6]], [2, 12], id="negative-entry"),
+        pytest.param([[0, 3], [0, 5]], [1, 0], id="zero-column"),
+        pytest.param([[6, 10, 15]], [1], id="one-row"),
+        pytest.param([[-3]], [3], id="negative-1x1"),
+        pytest.param([[0, 0], [0, 0], [3, 5]], [1, 0], id="zero-rows-first"),
+    ],
+)
+def test_snf_known_diagonals(m, diagonal):
     u, d, v = smith_normal_form(m)
     snf_is_valid(m, u, d, v)
-    assert [d[0][0], d[1][1]] == [1, 6]
+    assert [d[i][i] for i in range(len(diagonal))] == diagonal
 
 
 def test_snf_single_entry():
