@@ -30,7 +30,6 @@ from . import quadrics
 from .dualvariety import dual_dimension, rank_relation_check
 from .errors import InternalCheckError
 from .hessian import (
-    DEFAULT_SAMPLE_BUDGET,
     HessianForm,
     ambient_rank_certificate,
     build_hessian,
@@ -187,14 +186,10 @@ def _cmd_generic_rank(args: argparse.Namespace) -> int:
     f, var_names = _poly_arg(args)
     h: HessianForm = build_hessian(f)
     if args.on_hypersurface:
-        cert = hypersurface_rank_certificate(
-            h, seed=args.seed, sample_budget=args.sample_budget
-        )
+        cert = hypersurface_rank_certificate(h)
         where = "on the hypersurface"
     else:
-        cert = ambient_rank_certificate(
-            h, seed=args.seed, sample_budget=args.sample_budget
-        )
+        cert = ambient_rank_certificate(h)
         where = "ambient"
     minor = cert.witness_minor.format(var_names)
     lines = [
@@ -208,7 +203,7 @@ def _cmd_generic_rank(args: argparse.Namespace) -> int:
 
 def _cmd_dual_dim(args: argparse.Namespace) -> int:
     f, _ = _poly_arg(args)
-    value = dual_dimension(f, seed=args.seed, sample_budget=args.sample_budget)
+    value = dual_dimension(f)
     return _emit(args, {"dual_dimension": value}, [f"dual variety dimension: {value}"])
 
 
@@ -315,14 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    sampling.add_argument(
-        "--sample-budget",
-        type=int,
-        default=DEFAULT_SAMPLE_BUDGET,
-        help="random evaluation points for generic-rank guessing",
-    )
     poly_input = argparse.ArgumentParser(add_help=False)
     poly_input.add_argument("poly", help="polynomial text or @file")
     poly_input.add_argument("--vars", help="comma-separated variable names")
@@ -341,16 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("stratify", _cmd_stratify, "bucket points by Hessian rank", poly_input)
     p.add_argument("points", help="semicolon-separated points, or @file with one per line")
 
-    p = add(
-        "generic-rank", _cmd_generic_rank, "certified generic Hessian rank", sampling, poly_input
-    )
+    p = add("generic-rank", _cmd_generic_rank, "certified generic Hessian rank", poly_input)
     p.add_argument(
         "--on-hypersurface",
         action="store_true",
         help="rank on the hypersurface f = 0 instead of the ambient space",
     )
 
-    add("dual-dim", _cmd_dual_dim, "dual-variety dimension", sampling, poly_input)
+    add("dual-dim", _cmd_dual_dim, "dual-variety dimension", poly_input)
 
     p = add(
         "check-rank-relation",
@@ -395,10 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
     if extra:
-        # the subcommand's parser, so the usage line shown is its own
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        # Every token before the subcommand is a top-level leftover, shown
+        # under the top-level usage; later ones under the subcommand's own.
+        top = argv[: argv.index(args.command.split()[0])]
+        (parser if top else args.parser).error(
+            f"unrecognized arguments: {' '.join(top or extra)}"
+        )
     try:
         return args.handler(args)
     except ValueError as exc:

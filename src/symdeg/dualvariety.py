@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .errors import InternalCheckError
 from .hessian import (
-    DEFAULT_SAMPLE_BUDGET,
     HessianForm,
     build_hessian,
     evaluate_hessian,
@@ -297,9 +296,7 @@ def rank_relation_check(f: MultiPoly, p: Point) -> RankRelationReport:
     )
 
 
-def dual_dimension(
-    f: MultiPoly, seed: int = 0, sample_budget: int = DEFAULT_SAMPLE_BUDGET
-) -> int:
+def dual_dimension(f: MultiPoly) -> int:
     """Dimension of the dual variety of the hypersurface f = 0.
 
     Equals the certified generic Hessian rank on the hypersurface minus
@@ -310,7 +307,7 @@ def dual_dimension(
     if d is None or d < 3:
         raise ValueError("dual dimension needs homogeneous f of degree >= 3")
     h: HessianForm = build_hessian(f)
-    r = generic_rank_on_hypersurface(h, seed=seed, sample_budget=sample_budget)
+    r = generic_rank_on_hypersurface(h)
     if r < 2:
         raise ValueError(
             "generic rank below 2: input cannot define a reduced irreducible hypersurface"

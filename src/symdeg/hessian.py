@@ -3,11 +3,11 @@
 The form attached to f is the symmetric matrix of second partials; its
 entries are homogeneous of degree d-2, so the rank at a projective point
 does not depend on the chosen lift.  Generic ranks (over the ambient
-space and over the hypersurface f = 0) are certified symbolically: a
-randomized evaluation guesses the answer, then an explicit minor
-certificate removes the randomness from the claim.  The form is
-symmetric, so the certificates search principal minors only: C(n, k)
-index sets per size instead of C(n, k)^2.
+space and over the hypersurface f = 0) are certified symbolically by an
+explicit minor.  One seeded sample point orders the search, and
+symbolic tests end it, so the point changes the cost, never the answer.
+The form is symmetric, so the certificates search principal minors
+only: C(n, k) index sets per size instead of C(n, k)^2.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ Point = Sequence[Fraction | int]
 # Numerator range for seeded sample points.  Small integers keep the
 # fraction-free elimination fast and are generic enough at this scale.
 _SAMPLE_BOUND = 10_000
-DEFAULT_SAMPLE_BUDGET = 8  # random evaluation points for generic-rank guessing
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,9 @@ class RankCertificate:
     ``witness_minor`` is a nonzero polynomial (ambient case) or not
     divisible by f (hypersurface case).  The search already verified
     that no larger principal minor passes the same test, which by the
-    principal-minor theorem bounds the rank, so the rank value needs no
-    trust in the randomized guessing phase.
+    principal-minor theorem bounds the rank.  A seeded sample point only
+    orders the search; symbolic tests end it, so the rank value needs no
+    trust in the sample.
     """
 
     rank: int
@@ -114,29 +114,12 @@ class RankCertificate:
     caveat: Optional[str] = None
 
 
-def _sample_point(rng: random.Random, n: int) -> list[Fraction]:
+def _sample_point(n: int) -> list[Fraction]:
+    rng = random.Random(0)
     while True:
         coords = [Fraction(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)) for _ in range(n)]
         if any(c != 0 for c in coords):
             return coords
-
-
-def _guess_rank(
-    h: HessianForm, seed: int, sample_budget: int
-) -> tuple[int, list[list[Fraction]]]:
-    """Largest rank over the sample points, with the matrix that reached it."""
-    if sample_budget < 1:
-        raise ValueError("sample budget must be at least 1")
-    rng = random.Random(seed)
-    guess, best = -1, []
-    for _ in range(sample_budget):
-        matrix = evaluate_hessian(h, _sample_point(rng, h.size))
-        rank = rank_rational(matrix)
-        if rank > guess:
-            guess, best = rank, matrix
-        if guess == h.size:
-            break
-    return guess, best
 
 
 Minors = dict[tuple[int, ...], MultiPoly]
@@ -164,55 +147,51 @@ def _certificate(
     )
 
 
-def _ambient_certificate(
-    h: HessianForm, seed: int, sample_budget: int, dets: Minors
-) -> RankCertificate:
-    k, at_sample = _guess_rank(h, seed, sample_budget)
-    # The sample matrix is symmetric of rank k, so some principal k-minor
-    # is nonzero at the sample point, hence nonzero as a polynomial.
-    witness = next(
-        (
-            s
-            for s in _colex_subsets(h.size, k)
-            if det_rational([[at_sample[i][j] for j in s] for i in s]) != 0
-        ),
-        None,
-    )
-    if witness is None:
-        raise InternalCheckError("sample rank has no nonzero principal minor at its point")
-    if _principal_minor(h, witness, dets).is_zero():
-        raise InternalCheckError("witness minor is nonzero at a point but zero symbolically")
+def _ambient_certificate(h: HessianForm, dets: Minors) -> RankCertificate:
+    at_point = evaluate_hessian(h, _sample_point(h.size))
+    witness: tuple[int, ...] = ()
     while True:
         rest = [i for i in range(h.size) if i not in witness]
-        bordered = (
+        bordered = [
             tuple(sorted(witness + extra))
             for size in (1, 2)
             for extra in itertools.combinations(rest, size)
+        ]
+        bigger = next(
+            (s for s in bordered if det_rational([[at_point[i][j] for j in s] for i in s]) != 0),
+            None,
         )
-        bigger = next((s for s in bordered if not _principal_minor(h, s, dets).is_zero()), None)
         if bigger is None:
-            return _certificate(witness, dets[witness], on_hypersurface=False)
+            bigger = next(
+                (s for s in bordered if not _principal_minor(h, s, dets).is_zero()), None
+            )
+        if bigger is None:
+            det = _principal_minor(h, witness, dets)
+            if det.is_zero():
+                raise InternalCheckError(
+                    "witness minor is nonzero at a point but zero symbolically"
+                )
+            return _certificate(witness, det, on_hypersurface=False)
         witness = bigger
 
 
-def ambient_rank_certificate(
-    h: HessianForm, seed: int = 0, sample_budget: int = DEFAULT_SAMPLE_BUDGET
-) -> RankCertificate:
+def ambient_rank_certificate(h: HessianForm) -> RankCertificate:
     """Largest k with a principal k x k minor that is a nonzero polynomial.
 
     Soundness.  Over the field Q(x) the Hessian H is symmetric.  The
-    witness S is the first principal k-set (colex order) whose minor is
-    nonzero at the sample point that reached the guessed rank k; a
-    polynomial nonzero at a point is nonzero, and the symbolic
-    determinant is re-checked anyway.  With det H_S != 0, the Schur
-    complement B = H/H_S is symmetric, rank H = |S| + rank B, and the
-    bordered principal minors are det H_{S+i} = det H_S * B_ii and
-    det H_{S+i+j} = det H_S * (B_ii * B_jj - B_ij^2).  If all of them
-    vanish then B = 0 and rank H = |S|.  Otherwise a nonzero bordered
-    minor is a larger witness and the loop climbs from there, so the
-    sample guess may undershoot but never makes the answer wrong.
+    search climbs from the empty set, whose minor is 1.  With det H_S
+    != 0, the Schur complement B = H/H_S is symmetric, rank H = |S| +
+    rank B, and the bordered principal minors are det H_{S+i} = det H_S
+    * B_ii and det H_{S+i+j} = det H_S * (B_ii * B_jj - B_ij^2).  If all
+    of them vanish then B = 0 and rank H = |S|.  Otherwise a nonzero
+    bordered minor is a larger witness and the loop climbs from there.
+    Each step takes the first bordered set whose minor is nonzero at one
+    seeded sample point (a polynomial nonzero at a point is nonzero),
+    and only when there is none, the first whose symbolic minor is
+    nonzero.  Only a symbolic test ends the climb, so the sample point
+    changes the cost, never the answer.
     """
-    return _ambient_certificate(h, seed, sample_budget, {})
+    return _ambient_certificate(h, {})
 
 
 def _reduced_caveat(f: MultiPoly) -> Optional[str]:
@@ -234,9 +213,7 @@ def _reduced_caveat(f: MultiPoly) -> Optional[str]:
     return None
 
 
-def hypersurface_rank_certificate(
-    h: HessianForm, seed: int = 0, sample_budget: int = DEFAULT_SAMPLE_BUDGET
-) -> RankCertificate:
+def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     """Largest k with a principal k x k minor not divisible by f.
 
     Searches downward from the certified ambient rank, principal index
@@ -256,7 +233,7 @@ def hypersurface_rank_certificate(
     a cheap screen flags obviously non-reduced input.
     """
     dets: Minors = {}
-    ambient = _ambient_certificate(h, seed, sample_budget, dets)
+    ambient = _ambient_certificate(h, dets)
     caveat = _reduced_caveat(h.f)
     for k in range(ambient.rank, -1, -1):
         for s in _colex_subsets(h.size, k):
@@ -267,16 +244,12 @@ def hypersurface_rank_certificate(
     raise InternalCheckError("divisibility search fell through the empty minor")
 
 
-def generic_rank_ambient(
-    h: HessianForm, seed: int = 0, sample_budget: int = DEFAULT_SAMPLE_BUDGET
-) -> int:
-    return ambient_rank_certificate(h, seed=seed, sample_budget=sample_budget).rank
+def generic_rank_ambient(h: HessianForm) -> int:
+    return ambient_rank_certificate(h).rank
 
 
-def generic_rank_on_hypersurface(
-    h: HessianForm, seed: int = 0, sample_budget: int = DEFAULT_SAMPLE_BUDGET
-) -> int:
-    return hypersurface_rank_certificate(h, seed=seed, sample_budget=sample_budget).rank
+def generic_rank_on_hypersurface(h: HessianForm) -> int:
+    return hypersurface_rank_certificate(h).rank
 
 
 # -- stratification -------------------------------------------------------------

@@ -12,8 +12,8 @@ adjugate over the determinant.  Only the Smith normal form, which needs
 unimodular row and column operations, keeps a loop of its own.
 
 Determinism matters for golden tests: pivots are always the first
-admissible entry in row order, and minors stream in colexicographic
-order of index sets (rows outer, columns inner).
+admissible entry in row order, and minor searches take index sets in
+colexicographic order.
 """
 
 from __future__ import annotations
@@ -236,29 +236,6 @@ def _shared_num_vars(m: PolyMatrix) -> int:
 
 def _colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
-
-
-def minor_dets(
-    m: PolyMatrix, k: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], MultiPoly]]:
-    """Stream all k x k minors as (row-set, col-set, determinant).
-
-    Index sets run in colexicographic order, row-sets outermost, so a
-    caller searching for the first nonzero (or first non-divisible)
-    minor sees a deterministic sequence and can stop early.
-    """
-    rows, cols = matrix_dims(m)
-    if k < 0 or k > min(rows, cols):
-        raise ValueError(f"minor size {k} out of range for {rows}x{cols} matrix")
-    num_vars = _shared_num_vars(m)
-    if k == 0:
-        yield (), (), MultiPoly.constant(1, num_vars)
-        return
-    col_sets = _colex_subsets(cols, k)
-    for row_set in _colex_subsets(rows, k):
-        for col_set in col_sets:
-            sub = [[m[i][j] for j in col_set] for i in row_set]
-            yield row_set, col_set, det_poly(sub)
 
 
 # -- Smith normal form and cokernels ------------------------------------------

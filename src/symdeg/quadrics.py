@@ -150,34 +150,34 @@ def fiber_gysin_index(r: int) -> FiberGysin:
 # -- Leray-Hirsch dimension counts -----------------------------------------------
 
 
-def _betti_at(betti: Sequence[int], index: int) -> int:
-    if index < 0 or index >= len(betti):
-        return 0
-    return betti[index]
-
-
 def lh_quadric_dim(betti: Sequence[int], r: int, k: int) -> int:
     """dim H_k of a quadric bundle over a base with the given Betti numbers.
 
     Product formula: each fiber class in degree 2i contributes the base
-    dimension in degree k - 2i.
+    dimension in degree k - 2i.  The sum runs over the base degrees
+    j = k - 2i, so its length is bounded by the input, not by r.
     """
     b = _check_betti(betti)
     if r < 2:
         raise ValueError("quadric table needs rank >= 2")
     if k < 0:
         raise ValueError("homological degree must be non-negative")
-    return sum(quadric_betti(r, i) * _betti_at(b, k - 2 * i) for i in range(r - 1))
+    return sum(
+        quadric_betti(r, (k - j) // 2) * b[j] for j in range(k % 2, min(k + 1, len(b)), 2)
+    )
 
 
 def lh_projective_dim(betti: Sequence[int], fiber_dim: int, k: int) -> int:
-    """dim H_k of a projective bundle with fiber P^fiber_dim."""
+    """dim H_k of a projective bundle with fiber P^fiber_dim.
+
+    Sums the base dimension in each degree j = k - 2i with 0 <= i <= fiber_dim.
+    """
     b = _check_betti(betti)
     if fiber_dim < 0:
         raise ValueError("fiber dimension must be non-negative")
     if k < 0:
         raise ValueError("homological degree must be non-negative")
-    return sum(_betti_at(b, k - 2 * i) for i in range(fiber_dim + 1))
+    return sum(b[j] for j in range(k % 2, min(k + 1, len(b)), 2) if k - j <= 2 * fiber_dim)
 
 
 # -- certificates -----------------------------------------------------------------

@@ -26,7 +26,6 @@ from symdeg import (
     lh_projective_dim,
     lh_quadric_dim,
     main_bound,
-    minor_dets,
     nonsurjectivity_certificate,
     parse_poly,
     phi_torsion_replay,
@@ -42,6 +41,8 @@ from symdeg import (
     veronese_witness,
 )
 from symdeg.linalg import det_rational, mat_mul
+
+from minors import minor_dets
 
 W = ["w0", "w1", "w2", "w3"]
 QUARTIC = "w0^2*w3^2 - 6*w0*w1*w2*w3 + 4*w0*w2^3 + 4*w1^3*w3 - 3*w1^2*w2^2"

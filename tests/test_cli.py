@@ -261,21 +261,6 @@ def test_json_golden(capsys, name, argv):
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
-# -- seeds and budgets ----------------------------------------------------------------
-
-
-def test_seed_does_not_change_certified_answer(capsys):
-    _, first, _ = run(capsys, "generic-rank", "--seed", "0", FERMAT)
-    _, second, _ = run(capsys, "generic-rank", "--seed", "99", FERMAT)
-    assert first.splitlines()[0] == second.splitlines()[0]
-
-
-def test_sample_budget_accepted(capsys):
-    code, out, _ = run(capsys, "generic-rank", "--sample-budget", "2", FERMAT)
-    assert code == 0
-    assert "generic rank ambient: 4" in out
-
-
 # -- exit codes ------------------------------------------------------------------------
 
 
@@ -340,14 +325,6 @@ def test_exit_two_on_degenerate_lh_fiber_rank(capsys, r):
     assert err == "error: quadric table needs rank >= 2\n"
 
 
-@pytest.mark.parametrize("command", ["generic-rank", "dual-dim"])
-@pytest.mark.parametrize("budget", ["0", "-5"])
-def test_exit_two_on_nonpositive_sample_budget(capsys, command, budget):
-    code, out, err = run(capsys, command, "--sample-budget", budget, FERMAT)
-    assert (code, out) == (2, "")
-    assert err == "error: sample budget must be at least 1\n"
-
-
 def test_exit_two_on_generic_rank_below_two(capsys):
     code, out, err = run(capsys, "dual-dim", "x0^3")
     assert (code, out) == (2, "")
@@ -369,6 +346,8 @@ def test_exit_two_on_empty_vars(capsys, names):
         ("hessian", "--seed", "1", "x0^2"),
         ("quad-betti", "--sample-budget", "2", "4"),
         ("hessian", "x0^2", "--seed", "5", "--sample-budget", "-3"),
+        ("generic-rank", "--seed", "1", "x0^3+x1^3"),
+        ("dual-dim", "--sample-budget", "2", "x0^3+x1^3+x2^3"),
     ],
 )
 def test_sampling_flags_rejected_outside_sampling_commands(capsys, argv):
@@ -393,6 +372,45 @@ def test_unknown_argument_shows_subcommand_usage(capsys, argv, usage):
     assert exc.value.code == 2
     assert err.splitlines()[0].startswith(usage)
     assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+def test_unknown_argument_before_subcommand_shows_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "hessian", "x0^2"])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.splitlines()[0].startswith("usage: symdeg [-h]")
+    assert "unrecognized arguments: --bogus" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("lh-dim", "--betti", "1,0,1", "--quadric-rank", "1000000000000", "2"),
+            ["dim H_2 of the rank-1000000000000 quadric bundle: 2"],
+        ),
+        (
+            ("lh-dim", "--betti", "1,0,1", "--projective-fiber", "1000000000000", "2"),
+            ["dim H_2 of the P^1000000000000 bundle: 2"],
+        ),
+        (
+            ("nonsurj", "--betti", "1,0,1", "--r", "1000000000000", "--d", "1"),
+            [
+                "source dim (degree 1000000000002): 2",
+                "target dim (degree 1000000000000): 3",
+                "surjection impossible",
+            ],
+        ),
+    ],
+    ids=["lh-dim-quadric", "lh-dim-projective", "nonsurj"],
+)
+def test_huge_fiber_rank_answers_from_the_betti_vector(capsys, argv, expected):
+    # The sums run over the Betti vector, so a fiber rank of 10^12 costs
+    # no more than a small one.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == expected
 
 
 def test_rational_point_coordinates_accepted(capsys):

@@ -21,11 +21,12 @@ from symdeg import (
     generic_rank_ambient,
     generic_rank_on_hypersurface,
     hypersurface_rank_certificate,
-    minor_dets,
     parse_poly,
     rank_at,
     stratify,
 )
+
+from minors import minor_dets
 
 W = ["w0", "w1", "w2", "w3"]
 X = ["x0", "x1", "x2", "x3"]
@@ -264,10 +265,10 @@ def test_certified_minors_vanish_on_hypersurface():
         assert evaluate(det, p) == 0
 
 
-def test_generic_rank_is_seed_independent():
+def test_generic_ranks_of_quartic_are_four_and_three():
     h = quartic()
-    assert generic_rank_ambient(h, seed=0) == generic_rank_ambient(h, seed=123)
-    assert generic_rank_on_hypersurface(h, seed=7) == 3
+    assert generic_rank_ambient(h) == 4
+    assert generic_rank_on_hypersurface(h) == 3
 
 
 # -- principal minors against the all-minors search ------------------------------
@@ -326,14 +327,17 @@ def differential_inputs():
 
 
 @pytest.mark.parametrize("f", differential_inputs(), ids=lambda f: f.format())
-def test_principal_certificates_match_all_minors(f):
+def test_principal_certificates_match_all_minors(f, monkeypatch):
+    # At (1, 0, ..., 0) many minors vanish, so the climb takes its
+    # symbolic branch; the seeded point mostly climbs on evaluations.
+    from symdeg import hessian
+
     h = build_hessian(f)
     ambient, on_x = reference_ranks(h)
-    for seed in (0, 3):
-        certs = (
-            ambient_rank_certificate(h, seed=seed),
-            hypersurface_rank_certificate(h, seed=seed),
-        )
+    for unit_point in (False, True):
+        if unit_point:
+            monkeypatch.setattr(hessian, "_sample_point", lambda n: [1] + [0] * (n - 1))
+        certs = (ambient_rank_certificate(h), hypersurface_rank_certificate(h))
         assert [c.rank for c in certs] == [ambient, on_x]
         for cert in certs:
             s = cert.witness_rows
@@ -350,15 +354,19 @@ def test_quartic_witness_is_first_principal_triple():
 
 
 def test_ambient_climb_recovers_from_undershooting_guess(monkeypatch):
-    # Every diagonal entry of this Hessian is zero, so no principal 1-minor
-    # is nonzero: climbing from a guess of 0 needs the bordered 2-minors.
+    # Every diagonal entry of this Hessian is zero, so the climb needs the
+    # bordered 2-minors.  At (1, 0, 0) only the minor on {1, 2} is nonzero
+    # and the full determinant 2*x0*x1*x2 vanishes, so the climb on
+    # evaluations undershoots at {1, 2} and only the symbolic test
+    # reaches rank 3.
     from symdeg import hessian
 
-    monkeypatch.setattr(hessian, "_guess_rank", lambda h, seed, budget: (0, []))
+    monkeypatch.setattr(hessian, "_sample_point", lambda n: [1, 0, 0])
     h = build_hessian(parse_poly("x0*x1*x2", X[:3]))
     cert = ambient_rank_certificate(h)
-    assert cert.rank == 3
+    assert cert.rank == 3 and cert.witness_rows == (0, 1, 2)
     assert cert.witness_minor == parse_poly("2*x0*x1*x2", X[:3])
+    assert evaluate(cert.witness_minor, [1, 0, 0]) == 0
 
 
 # -- stratification ------------------------------------------------------------

@@ -17,13 +17,14 @@ from symdeg import (
     det_rational,
     evaluate,
     inverse_rational,
-    minor_dets,
     parse_poly,
     rank_rational,
     smith_normal_form,
 )
 from symdeg.cli import to_json
 from symdeg.linalg import mat_mul
+
+from minors import minor_dets
 
 # -- oracles (written before the tests that consume them) --------------------
 

@@ -197,6 +197,21 @@ def test_lh_counts_reproduce_truncated_sums(betti, n):
     assert proj == sum(b(2 * d - 2 * j) for j in range(n))
 
 
+@settings(deadline=None)
+@given(betti_vectors, st.integers(2, 12), st.integers(0, 10), st.integers(0, 30))
+def test_lh_counts_match_sum_over_fiber_classes(betti, r, fiber_dim, k):
+    # reference: one term per fiber class in degree 2i, the base in degree k - 2i
+    def b(j):
+        return betti[j] if 0 <= j < len(betti) else 0
+
+    assert lh_quadric_dim(betti, r, k) == sum(
+        quadric_betti(r, i) * b(k - 2 * i) for i in range(r - 1)
+    )
+    assert lh_projective_dim(betti, fiber_dim, k) == sum(
+        b(k - 2 * i) for i in range(fiber_dim + 1)
+    )
+
+
 # -- nonsurjectivity (even rank) -----------------------------------------------------------
 
 
