@@ -79,9 +79,16 @@ def _check_point(h: HessianForm, p: Point) -> list[Fraction]:
     return coords
 
 
+def _hessian_at(h: HessianForm, coords: list[Fraction]) -> list[list[Fraction]]:
+    """The matrix at checked coordinates: the upper triangle, mirrored."""
+    at: list[list[Fraction]] = []
+    for i, row in enumerate(h.hessian):
+        at.append([at[j][i] for j in range(i)] + [evaluate(e, coords) for e in row[i:]])
+    return at
+
+
 def evaluate_hessian(h: HessianForm, p: Point) -> list[list[Fraction]]:
-    coords = _check_point(h, p)
-    return [[evaluate(entry, coords) for entry in row] for row in h.hessian]
+    return _hessian_at(h, _check_point(h, p))
 
 
 def rank_at(h: HessianForm, p: Point) -> int:
@@ -266,7 +273,7 @@ def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:
     buckets: dict[int, list[tuple[Fraction, ...]]] = {}
     for p in points:
         coords = _check_point(h, p)
-        buckets.setdefault(rank_at(h, coords), []).append(tuple(coords))
+        buckets.setdefault(rank_rational(_hessian_at(h, coords)), []).append(tuple(coords))
     return RankStratification(buckets=buckets)
 
 

@@ -7,9 +7,11 @@ exact; ranks and normal forms are certificates, not estimates.
 
 One fraction-free (Bareiss) elimination routine computes every rank and
 determinant: over Z, over Q after scaling rows to integers, and over
-Q[x] with ``divides`` as the exact division.  The inverse is the
-adjugate over the determinant.  Only the Smith normal form, which needs
-unimodular row and column operations, keeps a loop of its own.
+Q[x] after scaling the whole matrix into Z[x], where each step is a
+fused cross product and a heap long division on integer term dicts.
+The inverse is the adjugate over the determinant.  Only the Smith
+normal form, which needs unimodular row and column operations, keeps a
+loop of its own.
 
 Determinism matters for golden tests: pivots are always the first
 admissible entry in row order, and minor searches take index sets in
@@ -25,7 +27,7 @@ from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InternalCheckError
-from .poly import MultiPoly, divides
+from .poly import MultiPoly, _cross, _divide_terms
 
 RatMatrix = Sequence[Sequence[Fraction]]
 IntMatrix = Sequence[Sequence[int]]
@@ -73,29 +75,32 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
 # -- fraction-free elimination -------------------------------------------------
 
 
-def _bareiss(work: list[list], exact_div: Callable) -> Iterator[tuple[int, bool]]:
+def _bareiss(work: list[list], step: Callable) -> Iterator[tuple[int, bool]]:
     """Fraction-free (Bareiss) row echelon of ``work``, in place.
 
     The one elimination loop for every rank and determinant, over any
-    integral domain: ``exact_div(d, n)`` returns n / d, or None when d
-    does not divide n (``divides`` for Q[x], ``_int_divides`` for Z).
-    The pivot is the first nonzero entry in row order of the leftmost
-    column that has one.  Each pivot column is yielded, with whether rows
-    were swapped, before the rows below are eliminated, so a determinant
-    stops at the first column without a pivot at no extra cost.  Entries
-    below a pivot are left as they were; no later step reads them.
+    integral domain: ``step(prev, pivot, x, factor, y)`` returns
+    (pivot*x - factor*y) / prev, or None when prev does not divide it
+    (``_int_step`` for Z, ``_poly_step`` for Z[x]); prev is None on the
+    first step, which divides by nothing.  The pivot is the first
+    nonzero entry in row order of the leftmost column that has one.
+    Each pivot column is yielded, with whether rows were swapped, before
+    the rows below are eliminated, so a determinant stops at the first
+    column without a pivot at no extra cost.  Entries below a pivot are
+    left as they were; no later step reads them.
 
     Exactness (Bareiss 1968): by Sylvester's identity, once r pivots are
     eliminated every entry of the rows below, right of the pivot columns,
     is the (r+1)-minor on the pivot rows and columns plus its own row and
     column.  The next numerator, a 2x2 combination of such minors, is the
     (r+2)-minor times the previous pivot, so dividing by that pivot is
-    exact; an inexact division raises InternalCheckError.  The last pivot
-    of a square matrix is its determinant up to the sign of the swaps.
+    exact, and every intermediate lies in the ring of the entries; an
+    inexact division raises InternalCheckError.  The last pivot of a
+    square matrix is its determinant up to the sign of the swaps.
     """
     rows = len(work)
     cols = len(work[0]) if rows else 0
-    prev = None  # previous pivot; the first step divides by nothing
+    prev = None
     r = 0
     for c in range(cols):
         if r == rows:
@@ -110,28 +115,38 @@ def _bareiss(work: list[list], exact_div: Callable) -> Iterator[tuple[int, bool]
         for row in work[r + 1 :]:
             factor = row[c]
             for j in range(c + 1, cols):
-                num = pivot * row[j] - factor * top[j]
-                if prev is not None:
-                    num = exact_div(prev, num)
-                    if num is None:
-                        raise InternalCheckError("Bareiss division was not exact")
+                num = step(prev, pivot, row[j], factor, top[j])
+                if num is None:
+                    raise InternalCheckError("Bareiss division was not exact")
                 row[j] = num
         prev = pivot
         r += 1
 
 
-def _int_divides(d: int, n: int) -> Optional[int]:
+def _int_div(n: int, d: int) -> Optional[int]:
+    """n / d when d divides n, else None."""
     q, rem = divmod(n, d)
     return None if rem else q
 
 
-def _det_sign(work: list[list], exact_div: Callable) -> int:
+def _int_step(prev: Optional[int], pivot: int, x: int, factor: int, y: int) -> Optional[int]:
+    num = pivot * x - factor * y
+    return num if prev is None else _int_div(num, prev)
+
+
+def _poly_step(prev: Optional[dict], pivot: dict, x: dict, factor: dict, y: dict) -> Optional[dict]:
+    """The Bareiss step on integer term dicts: exact division in Z[x]."""
+    num = _cross(pivot, x, factor, y)
+    return num if prev is None else _divide_terms(prev, num, _int_div)
+
+
+def _det_sign(work: list[list], step: Callable) -> int:
     """Eliminate a square ``work``: the sign of its row swaps, or 0 if singular.
 
     When nonzero, the determinant is this sign times ``work[-1][-1]``.
     """
     sign, pivots = 1, 0
-    for c, swapped in _bareiss(work, exact_div):
+    for c, swapped in _bareiss(work, step):
         if c != pivots:
             return 0
         pivots += 1
@@ -168,7 +183,7 @@ def rank_rational(m: RatMatrix) -> int:
     """
     matrix_dims(m)
     work, _ = _clear_rows(m)
-    return sum(1 for _ in _bareiss(work, _int_divides))
+    return sum(1 for _ in _bareiss(work, _int_step))
 
 
 def det_rational(m: RatMatrix) -> Fraction:
@@ -183,7 +198,7 @@ def det_rational(m: RatMatrix) -> Fraction:
     if rows == 0:
         return Fraction(1)
     work, scale = _clear_rows(m)
-    sign = _det_sign(work, _int_divides)
+    sign = _det_sign(work, _int_step)
     return Fraction(sign * work[-1][-1], scale)
 
 
@@ -212,9 +227,16 @@ def inverse_rational(m: RatMatrix) -> list[list[Fraction]]:
 def det_poly(m: PolyMatrix) -> MultiPoly:
     """Determinant of a square polynomial matrix.
 
-    Bareiss elimination over the polynomial ring, with ``divides`` as
-    the exact division.  A column without a pivot stops the elimination
-    at once: the determinant is zero.
+    Bareiss elimination in Z[x]: the matrix is scaled once by the lcm D
+    of all coefficient denominators, so its entries are integer term
+    dicts, and det(D*M) = D^n * det M for n x n M.  Every Bareiss
+    intermediate of D*M is a minor of an integer-polynomial matrix
+    (Sylvester's identity, see ``_bareiss``), so each step's quotient
+    lies in Z[x]: long division finds it with integer ``divmod`` on the
+    coefficients, and a nonzero remainder raises InternalCheckError.
+    One ``MultiPoly`` is built at the end, with coefficients sign / D^n
+    times the integer ones.  A column without a pivot stops the
+    elimination at once: the determinant is zero.
     """
     rows, cols = matrix_dims(m)
     if rows != cols:
@@ -222,9 +244,16 @@ def det_poly(m: PolyMatrix) -> MultiPoly:
     num_vars = _shared_num_vars(m)
     if rows == 0:
         return MultiPoly.constant(1, num_vars)
-    work = [list(row) for row in m]
-    sign = _det_sign(work, divides)
-    return work[-1][-1] * sign
+    scale = lcm(*(c.denominator for row in m for entry in row for c in entry.terms.values()))
+    work = [
+        [{e: c.numerator * (scale // c.denominator) for e, c in x.terms.items()} for x in row]
+        for row in m
+    ]
+    sign = _det_sign(work, _poly_step)
+    denominator = scale**rows
+    return MultiPoly(
+        num_vars, {e: Fraction(sign * c, denominator) for e, c in work[-1][-1].items()}
+    )
 
 
 def _shared_num_vars(m: PolyMatrix) -> int:

@@ -7,14 +7,16 @@ exact; nothing in this module ever touches floating point.
 
 The global monomial order is graded lexicographic: monomials are compared
 by total degree first, then lexicographically on the exponent vector with
-earlier variables dominating.  Division, leading terms and the canonical
-text form all use this order.
+earlier variables dominating.  Division and the canonical text form use
+this order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub, truediv
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import PolyParseError
 
@@ -78,12 +80,6 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no total degree")
         return max(sum(e) for e in self.terms)
-
-    def leading_term(self) -> tuple[Exponents, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -378,35 +374,89 @@ def homogeneous_degree(p: MultiPoly) -> Optional[int]:
 def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
     """Quotient q with m = q*f, or None when f does not divide m.
 
-    Long division by the single divisor f under the graded-lex order, in
-    place on one remainder dict: each step subtracts t*f, t = LT(r)/LT(f),
-    touching only the |f| terms it hits and dropping those that cancel.
-    Membership in a principal ideal is decided by remainder zero, and
-    with one divisor the first leading term that LT(f) fails to divide
-    already lands in the remainder (every later t*f lies below it in the
-    order), so we can stop there.
+    Long division by the single divisor f under the graded-lex order,
+    with ``Fraction`` coefficients (see ``_divide_terms``).  Membership
+    in a principal ideal is decided by remainder zero.
     """
     if f.num_vars != m.num_vars:
         raise ValueError("mixed variable counts")
     if f.is_zero():
         raise ValueError("division by the zero polynomial")
-    f_exps, f_coeff = f.leading_term()
-    remainder = dict(m.terms)
-    quotient: dict[Exponents, Fraction] = {}
-    while remainder:
-        r_exps = max(remainder, key=_grlex_key)
-        diff = tuple(a - b for a, b in zip(r_exps, f_exps))
-        if any(d < 0 for d in diff):
+    quotient = _divide_terms(f.terms, m.terms, truediv)
+    return None if quotient is None else MultiPoly(f.num_vars, quotient)
+
+
+# -- term-dict kernel ----------------------------------------------------------
+#
+# Bare ``dict[Exponents, coeff]`` maps with nonzero coefficients of any
+# exact ring (int or Fraction), for inner loops that would otherwise
+# build and re-validate a ``MultiPoly`` per operation.
+
+_Terms = dict[Exponents, Fraction | int]
+
+
+def _cross(a: _Terms, b: _Terms, c: _Terms, d: _Terms) -> _Terms:
+    """a*b - c*d in one pass, dropping cancelled terms."""
+    out: _Terms = {}
+    get = out.get
+    for e1, k1 in a.items():
+        for e2, k2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + k1 * k2
+    for e1, k1 in c.items():
+        for e2, k2 in d.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) - k1 * k2
+    return {e: k for e, k in out.items() if k}
+
+
+def _divide_terms(f: _Terms, m: _Terms, coeff_div: Callable) -> Optional[_Terms]:
+    """Quotient q with m = q*f, or None when f does not divide m.
+
+    ``f`` is nonzero; ``coeff_div(a, b)`` returns a / b, or None when the
+    coefficient ring has no such quotient (Z has none for 3 / 2).
+
+    Long division under the graded-lex order, in place on one remainder
+    dict: each step subtracts t*f, t = LT(r)/LT(f), touching only the
+    |f| terms it hits and dropping those that cancel.  A heap of pending
+    monomials gives LT(r) (Monagan and Pearce, J. Symb. Comput. 2011), so
+    a step costs O(|f| log |r|), not a scan of the remainder.  A monomial
+    is pushed when it enters the remainder; one that cancels stays in the
+    heap and is skipped when popped (lazy deletion).  The t's are exactly
+    q's terms, and with one divisor the first leading term that LT(f)
+    fails to divide already lands in the remainder (every later t*f lies
+    below it in the order), so either failure ends the division.
+    """
+    f_exps = max(f, key=_grlex_key)
+    f_coeff = f[f_exps]
+    rest = [(e, k) for e, k in f.items() if e != f_exps]
+    remainder = dict(m)
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in remainder]
+    heapify(heap)
+    quotient: _Terms = {}
+    while heap:
+        r_exps = heappop(heap)[2]
+        coeff = remainder.pop(r_exps, None)
+        if coeff is None:  # cancelled after it was pushed
+            continue
+        diff = tuple(map(sub, r_exps, f_exps))
+        if min(diff, default=0) < 0:
             return None
-        t = quotient[diff] = remainder[r_exps] / f_coeff
-        for exps, coeff in f.terms.items():
-            key = tuple(a + b for a, b in zip(diff, exps))
-            c = remainder.get(key, 0) - t * coeff
-            if c:
+        t = coeff_div(coeff, f_coeff)
+        if t is None:
+            return None
+        quotient[diff] = t
+        for exps, k in rest:
+            key = tuple(map(add, diff, exps))
+            old = remainder.get(key)
+            if old is None:
+                remainder[key] = -t * k
+                heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+            elif c := old - t * k:
                 remainder[key] = c
             else:
                 del remainder[key]
-    return MultiPoly(f.num_vars, quotient)
+    return quotient
 
 
 def compose_linear(p: MultiPoly, matrix: Sequence[Sequence[Fraction | int]]) -> MultiPoly:

@@ -1,6 +1,7 @@
 """Exact linear algebra: rank, minors, Smith form, cokernels, conformal factor."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from symdeg import (
     ConformalFactor,
     FGAbelianGroup,
+    InternalCheckError,
     MultiPoly,
     cokernel,
     conformal_factor,
@@ -22,7 +24,7 @@ from symdeg import (
     smith_normal_form,
 )
 from symdeg.cli import to_json
-from symdeg.linalg import mat_mul
+from symdeg.linalg import _bareiss, _int_step, _poly_step, mat_mul
 
 from minors import minor_dets
 
@@ -223,15 +225,70 @@ def test_quartic_hessian_full_minor_degree_eight():
     assert det == oracle_det_permanent_style([list(row) for row in h.hessian])
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.data())
-def test_det_poly_matches_permutation_oracle(data):
-    n = data.draw(st.integers(1, 3))
-    entries = st.integers(-2, 2).map(lambda c: MultiPoly.constant(c, 2))
-    vars_ = [MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)]
-    cell = st.one_of(entries, st.sampled_from(vars_))
-    m = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
+# Entries in 3 variables of degree <= 2 with denominators 1..6, so that the
+# scaling into Z[x] and multi-term divisions both run.
+POLY_ENTRIES = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3).filter(lambda e: sum(e) <= 2),
+    st.fractions(-3, 3, max_denominator=6),
+    max_size=3,
+).map(lambda terms: MultiPoly(3, terms))
+
+
+@settings(deadline=None, max_examples=60)
+@given(square_matrices(POLY_ENTRIES, 1, 4))
+def test_det_poly_matches_permutation_oracle(m):
     assert det_poly(m) == oracle_det_permanent_style(m)
+
+
+def random_quartic(num_vars, num_terms, seed):
+    rng = random.Random(seed)
+    monomials = [e for e in itertools.product(range(5), repeat=num_vars) if sum(e) == 4]
+    return MultiPoly(
+        num_vars,
+        {
+            e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+            for e in rng.sample(monomials, num_terms)
+        },
+    )
+
+
+@pytest.mark.parametrize("num_vars, num_terms, seed", [(4, 35, 0), (5, 17, 1), (5, 25, 2)])
+def test_det_poly_of_hessian_matches_sympy_berkowitz(num_vars, num_terms, seed):
+    """Full Hessian determinants of rational quartics (4 variables: all 35 terms)."""
+    sympy = pytest.importorskip("sympy")
+    from symdeg import build_hessian
+
+    h = build_hessian(random_quartic(num_vars, num_terms, seed))
+    ring, *_ = sympy.ring([f"x{i}" for i in range(num_vars)], sympy.QQ)
+    xs = sympy.symbols(f"x0:{num_vars}")
+
+    def to_expr(p):
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**k for x, k in zip(xs, e))
+                for e, c in p.terms.items()
+            )
+        )
+
+    matrix = sympy.Matrix([[to_expr(entry) for entry in row] for row in h.hessian])
+    expected = ring.from_expr(matrix.det(method="berkowitz"))
+    det = det_poly([list(row) for row in h.hessian])
+    assert not det.is_zero()
+    assert det.terms == {
+        e: Fraction(int(c.numerator), int(c.denominator)) for e, c in expected.items()
+    }
+
+
+def test_exact_division_refuses_quotients_outside_the_ring():
+    """Integer Bareiss steps return None for an inexact quotient, and _bareiss raises."""
+    assert _int_step(2, 1, 3, 0, 0) is None  # 3 / 2
+    assert _int_step(2, 1, 3, 1, -1) == 2  # (3 + 1) / 2
+    x0, x0_sq = (1, 0), (2, 0)
+    assert _poly_step({x0: 2}, {x0: 1}, {x0: 1}, {}, {}) is None  # x0^2 / (2*x0)
+    assert _poly_step({x0: 2}, {x0: 2}, {x0: 1}, {}, {}) == {x0: 1}
+    assert _poly_step({x0: 1}, {x0_sq: 1}, {(0, 0): 1}, {}, {}) == {x0: 1}
+    with pytest.raises(InternalCheckError, match="not exact"):
+        list(_bareiss([[1, 2], [3, 4]], lambda *args: None))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Polynomial core: parsing, calculus, divisibility, canonical text."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -326,6 +328,51 @@ def test_divides_matches_sympy_division(pair):
             assert result.terms == {
                 e: Fraction(int(c.p), int(c.q)) for e, c in expected.items() if c != 0
             }
+
+
+# The support of the benchmark's dense quartic (bench/workloads.py): 17
+# monomials of degree 4 in 5 variables, drawn once from a fixed seed.
+DENSE_QUARTIC_SUPPORT = sorted(
+    random.Random("dense-quartic-support").sample(
+        sorted(e for e in itertools.product(range(5), repeat=5) if sum(e) == 4), 17
+    ),
+    reverse=True,
+)
+
+
+def dense_quartic_and_quotient():
+    rng = random.Random(7)
+    f = MultiPoly(5, {e: rng.choice([-1, 1]) * rng.randint(1, 9) for e in DENSE_QUARTIC_SUPPORT})
+    small = [e for e in itertools.product(range(3), repeat=5) if sum(e) <= 3]
+    q = MultiPoly(
+        5, {e: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for e in rng.sample(small, 40)}
+    )
+    return f, q
+
+
+def test_divides_recovers_large_quotient_of_dense_quartic():
+    f, q = dense_quartic_and_quotient()
+    assert len(q.terms) >= 30
+    assert divides(f, q * f) == q
+
+
+def test_divides_rejects_monomial_below_the_leading_term():
+    f, q = dense_quartic_and_quotient()
+    m = q * f
+    t = MultiPoly.variable(4, 5)
+    assert t.terms.keys().isdisjoint(m.terms)
+    assert divides(f, m + t) is None
+
+
+def test_divides_skips_cancelled_then_recreated_terms():
+    # Dividing by x0^2 + x0*x1 + x1^2: the first step cancels x0^2*x1^2,
+    # the second creates it again, the third cancels it for good.
+    v = ["x0", "x1"]
+    f = parse_poly("x0^2 + x0*x1 + x1^2", v)
+    assert divides(f, parse_poly("x0^4 + x0^2*x1^2 + x1^4", v)) == parse_poly(
+        "x0^2 - x0*x1 + x1^2", v
+    )
+    assert divides(f, parse_poly("x0^4 + x0^2*x1^2 + x1^4 + x1", v)) is None
 
 
 # -- canonical text form ------------------------------------------------------------
