@@ -4,25 +4,26 @@ The form attached to f is the symmetric matrix of second partials; its
 entries are homogeneous of degree d-2, so the rank at a projective point
 does not depend on the chosen lift.  Generic ranks (over the ambient
 space and over the hypersurface f = 0) are certified symbolically by an
-explicit minor.  One seeded sample point orders the search, and
-symbolic tests end it, so the point changes the cost, never the answer.
-The form is symmetric, so the certificates search principal minors
-only: C(n, k) index sets per size instead of C(n, k)^2.
+explicit minor.  The ambient rank is one fraction-free elimination of
+the whole matrix.  The form is symmetric, so both witnesses are
+principal minors, and the hypersurface search tries C(n, k) index sets
+per size instead of C(n, k)^2.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError
 from .linalg import (
+    _bareiss,
     _colex_subsets,
+    _int_poly_matrix,
+    _poly_step,
+    _rescaled_poly,
     det_poly,
-    det_rational,
     inverse_rational,
     mat_vec,
     rank_rational,
@@ -30,10 +31,6 @@ from .linalg import (
 from .poly import MultiPoly, compose_linear, differentiate, divides, evaluate, homogeneous_degree
 
 Point = Sequence[Fraction | int]
-
-# Numerator range for seeded sample points.  Small integers keep the
-# fraction-free elimination fast and are generic enough at this scale.
-_SAMPLE_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -106,11 +103,10 @@ class RankCertificate:
     The witness is a principal minor: ``witness_rows == witness_cols``
     index a principal submatrix of size ``rank`` whose determinant
     ``witness_minor`` is a nonzero polynomial (ambient case) or not
-    divisible by f (hypersurface case).  The search already verified
-    that no larger principal minor passes the same test, which by the
-    principal-minor theorem bounds the rank.  A seeded sample point only
-    orders the search; symbolic tests end it, so the rank value needs no
-    trust in the sample.
+    divisible by f (hypersurface case).  The ambient rank is the pivot
+    count of an elimination over Q(x); on the hypersurface the search
+    already verified that no larger principal minor passes the same
+    test, which by the principal-minor theorem bounds the rank.
     """
 
     rank: int
@@ -119,14 +115,6 @@ class RankCertificate:
     witness_minor: MultiPoly
     on_hypersurface: bool
     caveat: Optional[str] = None
-
-
-def _sample_point(n: int) -> list[Fraction]:
-    rng = random.Random(0)
-    while True:
-        coords = [Fraction(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)) for _ in range(n)]
-        if any(c != 0 for c in coords):
-            return coords
 
 
 Minors = dict[tuple[int, ...], MultiPoly]
@@ -155,48 +143,34 @@ def _certificate(
 
 
 def _ambient_certificate(h: HessianForm, dets: Minors) -> RankCertificate:
-    at_point = evaluate_hessian(h, _sample_point(h.size))
-    witness: tuple[int, ...] = ()
-    while True:
-        rest = [i for i in range(h.size) if i not in witness]
-        bordered = [
-            tuple(sorted(witness + extra))
-            for size in (1, 2)
-            for extra in itertools.combinations(rest, size)
-        ]
-        bigger = next(
-            (s for s in bordered if det_rational([[at_point[i][j] for j in s] for i in s]) != 0),
-            None,
-        )
-        if bigger is None:
-            bigger = next(
-                (s for s in bordered if not _principal_minor(h, s, dets).is_zero()), None
-            )
-        if bigger is None:
-            det = _principal_minor(h, witness, dets)
-            if det.is_zero():
-                raise InternalCheckError(
-                    "witness minor is nonzero at a point but zero symbolically"
-                )
-            return _certificate(witness, det, on_hypersurface=False)
-        witness = bigger
+    work, scale = _int_poly_matrix(h.hessian)
+    steps = list(_bareiss(work, _poly_step))
+    witness = tuple(c for c, _ in steps)
+    if len(witness) == h.size:
+        factor = Fraction((-1) ** sum(swapped for _, swapped in steps), scale**h.size)
+        det = dets[witness] = _rescaled_poly(h.size, work[-1][-1], factor)
+    else:
+        det = _principal_minor(h, witness, dets)
+    if det.is_zero():
+        raise InternalCheckError("principal minor on the pivot columns is zero")
+    return _certificate(witness, det, on_hypersurface=False)
 
 
 def ambient_rank_certificate(h: HessianForm) -> RankCertificate:
-    """Largest k with a principal k x k minor that is a nonzero polynomial.
+    """Rank of the Hessian H over Q(x), witnessed by a nonzero principal minor.
 
-    Soundness.  Over the field Q(x) the Hessian H is symmetric.  The
-    search climbs from the empty set, whose minor is 1.  With det H_S
-    != 0, the Schur complement B = H/H_S is symmetric, rank H = |S| +
-    rank B, and the bordered principal minors are det H_{S+i} = det H_S
-    * B_ii and det H_{S+i+j} = det H_S * (B_ii * B_jj - B_ij^2).  If all
-    of them vanish then B = 0 and rank H = |S|.  Otherwise a nonzero
-    bordered minor is a larger witness and the loop climbs from there.
-    Each step takes the first bordered set whose minor is nonzero at one
-    seeded sample point (a polynomial nonzero at a point is nonzero),
-    and only when there is none, the first whose symbolic minor is
-    nonzero.  Only a symbolic test ends the climb, so the sample point
-    changes the cost, never the answer.
+    One fraction-free elimination of H, scaled into Z[x], gives the rank
+    r as its number of pivots; its pivot columns S are the witness.
+    Soundness.  A column gets a pivot exactly when it is not a Q(x)-
+    combination of the columns before it, so the columns S are a basis
+    of the column space: H = H[:, S] C for some r x n matrix C.  Taking
+    the rows S, H[S, :] = H[S, S] C.  H is symmetric, so H[S, :] is the
+    transpose of H[:, S] and has rank r; hence so has H[S, S], and its
+    principal minor is a nonzero polynomial.  No minor larger than r is
+    nonzero.  At full rank the witness minor is the last pivot times
+    sign / D^n, with D the lcm of the coefficient denominators and sign
+    that of the row swaps; otherwise it is one r x r determinant.  A
+    zero witness minor raises InternalCheckError.
     """
     return _ambient_certificate(h, {})
 

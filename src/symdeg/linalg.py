@@ -169,7 +169,7 @@ def _clear_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
     for row in m:
         fracs = [Fraction(x) for x in row]
         scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
+        out.append([f.numerator * (scale // f.denominator) for f in fracs])
         product *= scale
     return out, product
 
@@ -244,16 +244,24 @@ def det_poly(m: PolyMatrix) -> MultiPoly:
     num_vars = _shared_num_vars(m)
     if rows == 0:
         return MultiPoly.constant(1, num_vars)
+    work, scale = _int_poly_matrix(m)
+    sign = _det_sign(work, _poly_step)
+    return _rescaled_poly(num_vars, work[-1][-1], Fraction(sign, scale**rows))
+
+
+def _int_poly_matrix(m: PolyMatrix) -> tuple[list[list[dict]], int]:
+    """``m`` scaled into Z[x] as integer term dicts, and the lcm D of its denominators."""
     scale = lcm(*(c.denominator for row in m for entry in row for c in entry.terms.values()))
     work = [
         [{e: c.numerator * (scale // c.denominator) for e, c in x.terms.items()} for x in row]
         for row in m
     ]
-    sign = _det_sign(work, _poly_step)
-    denominator = scale**rows
-    return MultiPoly(
-        num_vars, {e: Fraction(sign * c, denominator) for e, c in work[-1][-1].items()}
-    )
+    return work, scale
+
+
+def _rescaled_poly(num_vars: int, terms: dict, factor: Fraction) -> MultiPoly:
+    """The ``MultiPoly`` of an integer term dict times ``factor``."""
+    return MultiPoly(num_vars, {e: c * factor for e, c in terms.items()})
 
 
 def _shared_num_vars(m: PolyMatrix) -> int:

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -411,6 +414,38 @@ def test_huge_fiber_rank_answers_from_the_betti_vector(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.splitlines() == expected
+
+
+HUGE_FERMAT = "x0^999999999999 + x1^999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, key, expected",
+    [
+        (("generic-rank", HUGE_FERMAT), "rank", 2),
+        (("generic-rank", "--on-hypersurface", HUGE_FERMAT), "rank", 2),
+        (("dual-dim", HUGE_FERMAT + " + x2^999999999999"), "dual_dimension", 1),
+    ],
+    ids=["ambient", "hypersurface", "dual-dim"],
+)
+def test_huge_exponents_answer_symbolically(argv, key, expected):
+    # No step evaluates the form at a point, so exponents near 10^12 cost
+    # no more than small ones.  A subprocess with a timeout turns a hang
+    # into a failure.
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-m", "symdeg.cli", *argv, "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    out = json.loads(done.stdout)
+    assert out[key] == expected
+    if key == "rank":
+        assert out["witness_rows"] == out["witness_cols"] == [0, 1]
 
 
 def test_rational_point_coordinates_accepted(capsys):

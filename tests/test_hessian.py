@@ -316,6 +316,7 @@ def differential_inputs():
         ("x0^3", X[:2]),
         ("x0^2*x1", X[:3]),
         ("x0^2*x2^2 + 2*x0*x1^2*x2 + x1^4", X[:3]),
+        ("1/2*x0^3 + 1/3*x1^2*x2 + x2^3", X[:3]),
     ]
     polys = [parse_poly(text, names) for text, names in named]
     rng = random.Random(20)
@@ -327,25 +328,18 @@ def differential_inputs():
 
 
 @pytest.mark.parametrize("f", differential_inputs(), ids=lambda f: f.format())
-def test_principal_certificates_match_all_minors(f, monkeypatch):
-    # At (1, 0, ..., 0) many minors vanish, so the climb takes its
-    # symbolic branch; the seeded point mostly climbs on evaluations.
-    from symdeg import hessian
-
+def test_principal_certificates_match_all_minors(f):
     h = build_hessian(f)
     ambient, on_x = reference_ranks(h)
-    for unit_point in (False, True):
-        if unit_point:
-            monkeypatch.setattr(hessian, "_sample_point", lambda n: [1] + [0] * (n - 1))
-        certs = (ambient_rank_certificate(h), hypersurface_rank_certificate(h))
-        assert [c.rank for c in certs] == [ambient, on_x]
-        for cert in certs:
-            s = cert.witness_rows
-            assert cert.witness_cols == s and len(s) == cert.rank
-            if s:
-                assert cert.witness_minor == det_poly([[h.hessian[i][j] for j in s] for i in s])
-            assert not cert.witness_minor.is_zero()
-        assert divides(h.f, certs[1].witness_minor) is None
+    certs = (ambient_rank_certificate(h), hypersurface_rank_certificate(h))
+    assert [c.rank for c in certs] == [ambient, on_x]
+    for cert in certs:
+        s = cert.witness_rows
+        assert cert.witness_cols == s and len(s) == cert.rank
+        if s:
+            assert cert.witness_minor == det_poly([[h.hessian[i][j] for j in s] for i in s])
+        assert not cert.witness_minor.is_zero()
+    assert divides(h.f, certs[1].witness_minor) is None
 
 
 def test_quartic_witness_is_first_principal_triple():
@@ -353,20 +347,40 @@ def test_quartic_witness_is_first_principal_triple():
     assert cert.witness_rows == cert.witness_cols == (0, 1, 2)
 
 
-def test_ambient_climb_recovers_from_undershooting_guess(monkeypatch):
-    # Every diagonal entry of this Hessian is zero, so the climb needs the
-    # bordered 2-minors.  At (1, 0, 0) only the minor on {1, 2} is nonzero
-    # and the full determinant 2*x0*x1*x2 vanishes, so the climb on
-    # evaluations undershoots at {1, 2} and only the symbolic test
-    # reaches rank 3.
-    from symdeg import hessian
-
-    monkeypatch.setattr(hessian, "_sample_point", lambda n: [1, 0, 0])
+def test_ambient_witness_on_zero_diagonal_hessian():
+    # Every diagonal entry of this Hessian is zero, so the first pivot
+    # comes from a row swap.  The full determinant 2*x0*x1*x2 vanishes
+    # at (1, 0, 0), where the matrix has rank 2 only.
     h = build_hessian(parse_poly("x0*x1*x2", X[:3]))
     cert = ambient_rank_certificate(h)
     assert cert.rank == 3 and cert.witness_rows == (0, 1, 2)
     assert cert.witness_minor == parse_poly("2*x0*x1*x2", X[:3])
     assert evaluate(cert.witness_minor, [1, 0, 0]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, witness, minor",
+    [
+        ("x1^2*x3 + x3^3", (1, 3), "-4*x1^2 + 12*x3^2"),
+        ("x0*x1*x2", (0, 1, 2), "2*x0*x1*x2"),
+    ],
+    ids=["x1^2*x3 + x3^3", "x0*x1*x2"],
+)
+def test_ambient_witness_of_rank_deficient_form(text, witness, minor):
+    # Zero columns get no pivot, so the witness need not start at index 0.
+    cert = ambient_rank_certificate(build_hessian(parse_poly(text, X)))
+    assert cert.rank == len(witness)
+    assert cert.witness_rows == cert.witness_cols == witness
+    assert cert.witness_minor == parse_poly(minor, X)
+
+
+def test_ambient_certificate_rejects_zero_witness_minor(monkeypatch):
+    from symdeg import hessian
+
+    h = build_hessian(parse_poly("x0^2*x1", X[:3]))
+    monkeypatch.setattr(hessian, "det_poly", lambda m: MultiPoly.zero(3))
+    with pytest.raises(InternalCheckError, match="pivot columns"):
+        ambient_rank_certificate(h)
 
 
 # -- stratification ------------------------------------------------------------
