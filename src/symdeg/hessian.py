@@ -18,15 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalCheckError
 from .linalg import (
-    _bareiss,
-    _colex_subsets,
-    _int_poly_matrix,
-    _poly_step,
-    _rescaled_poly,
-    det_poly,
-    inverse_rational,
-    mat_vec,
-    rank_rational,
+    _colex_subsets, _pivot_columns_poly, det_poly, inverse_rational, mat_vec, rank_rational,
 )
 from .poly import MultiPoly, compose_linear, differentiate, divides, evaluate, homogeneous_degree
 
@@ -117,16 +109,11 @@ class RankCertificate:
     caveat: Optional[str] = None
 
 
-Minors = dict[tuple[int, ...], MultiPoly]
-
-
-def _principal_minor(h: HessianForm, s: tuple[int, ...], dets: Minors) -> MultiPoly:
-    """Determinant of the principal submatrix on ``s``, computed once per ``dets``."""
-    det = dets.get(s)
-    if det is None:
-        sub = [[h.hessian[i][j] for j in s] for i in s]
-        det = dets[s] = det_poly(sub) if s else MultiPoly.constant(1, h.size)
-    return det
+def _principal_minor(h: HessianForm, s: tuple[int, ...]) -> MultiPoly:
+    """Determinant of the principal submatrix on ``s``."""
+    if not s:
+        return MultiPoly.constant(1, h.size)
+    return det_poly([[h.hessian[i][j] for j in s] for i in s])
 
 
 def _certificate(
@@ -140,20 +127,6 @@ def _certificate(
         on_hypersurface=on_hypersurface,
         caveat=caveat,
     )
-
-
-def _ambient_certificate(h: HessianForm, dets: Minors) -> RankCertificate:
-    work, scale = _int_poly_matrix(h.hessian)
-    steps = list(_bareiss(work, _poly_step))
-    witness = tuple(c for c, _ in steps)
-    if len(witness) == h.size:
-        factor = Fraction((-1) ** sum(swapped for _, swapped in steps), scale**h.size)
-        det = dets[witness] = _rescaled_poly(h.size, work[-1][-1], factor)
-    else:
-        det = _principal_minor(h, witness, dets)
-    if det.is_zero():
-        raise InternalCheckError("principal minor on the pivot columns is zero")
-    return _certificate(witness, det, on_hypersurface=False)
 
 
 def ambient_rank_certificate(h: HessianForm) -> RankCertificate:
@@ -172,7 +145,12 @@ def ambient_rank_certificate(h: HessianForm) -> RankCertificate:
     that of the row swaps; otherwise it is one r x r determinant.  A
     zero witness minor raises InternalCheckError.
     """
-    return _ambient_certificate(h, {})
+    witness, det = _pivot_columns_poly(h.hessian)
+    if det is None:
+        det = _principal_minor(h, witness)
+    if det.is_zero():
+        raise InternalCheckError("principal minor on the pivot columns is zero")
+    return _certificate(witness, det, on_hypersurface=False)
 
 
 def _reduced_caveat(f: MultiPoly) -> Optional[str]:
@@ -199,8 +177,8 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
 
     Searches downward from the certified ambient rank, principal index
     sets in colex order; every principal minor of every larger size has
-    been checked divisible by the time a witness is returned.  Each
-    determinant is computed once and shared with the ambient phase.
+    been checked divisible by the time a witness is returned.  Each set
+    is visited once, and the ambient witness minor is reused, not redone.
 
     Soundness, for squarefree f with prime factors g.  A polynomial is
     not divisible by f exactly when it is not divisible by some g, that
@@ -213,12 +191,11 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     Irreducibility of f (one factor g) is the caller's responsibility;
     a cheap screen flags obviously non-reduced input.
     """
-    dets: Minors = {}
-    ambient = _ambient_certificate(h, dets)
+    ambient = ambient_rank_certificate(h)
     caveat = _reduced_caveat(h.f)
     for k in range(ambient.rank, -1, -1):
         for s in _colex_subsets(h.size, k):
-            det = _principal_minor(h, s, dets)
+            det = ambient.witness_minor if s == ambient.witness_rows else _principal_minor(h, s)
             if not det.is_zero() and divides(h.f, det) is None:
                 return _certificate(s, det, on_hypersurface=True, caveat=caveat)
     # k = 0 always ends the loop: the empty minor is 1 and deg f >= 2.

@@ -5,10 +5,10 @@ Matrices are plain lists of rows.  Three entry kinds appear: Fraction
 and MultiPoly (symbolic matrices such as Hessians).  Everything here is
 exact; ranks and normal forms are certificates, not estimates.
 
-One fraction-free (Bareiss) elimination routine computes every rank and
-determinant: over Z, over Q after scaling rows to integers, and over
-Q[x] after scaling the whole matrix into Z[x], where each step is a
-fused cross product and a heap long division on integer term dicts.
+One fraction-free (Bareiss) routine computes every rank and determinant.
+Over Q or Q[x] the whole matrix is first scaled by the lcm D of its
+denominators into Z or Z[x] (in Z[x] a step is a fused cross product and a
+heap division); a determinant is sign / D^n times the last pivot.
 The inverse is the adjugate over the determinant.  Only the Smith
 normal form, which needs unimodular row and column operations, keeps a
 loop of its own.
@@ -158,48 +158,42 @@ def _det_sign(work: list[list], step: Callable) -> int:
 # -- rank, determinant and inverse over Q ----------------------------------------
 
 
-def _clear_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
-    """Scale each row by the lcm of its denominators.  Rank-preserving.
+def _int_matrix(m: RatMatrix) -> tuple[list[list[int]], int]:
+    """``m`` scaled into Z by the lcm D of all its denominators, and D.
 
-    Also returns the product of the row scales, by which the
-    determinant of the integer matrix exceeds that of ``m``.
+    Entries other than int and Fraction (floats, say) go through ``Fraction``.
     """
-    out = []
-    product = 1
-    for row in m:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([f.numerator * (scale // f.denominator) for f in fracs])
-        product *= scale
-    return out, product
+    exact = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in m]
+    scale = lcm(*(x.denominator for row in exact for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in exact], scale
 
 
 def rank_rational(m: RatMatrix) -> int:
     """Rank over Q: the number of pivots of integer Bareiss elimination.
 
-    Rows are first scaled to integers; the Bareiss update keeps all
-    intermediate values integral, and every interior division is checked
-    to be exact.
+    The matrix is first scaled into Z by one common denominator, which
+    does not change the rank; the Bareiss update keeps all intermediate
+    values integral, and every interior division is checked to be exact.
     """
     matrix_dims(m)
-    work, _ = _clear_rows(m)
+    work, _ = _int_matrix(m)
     return sum(1 for _ in _bareiss(work, _int_step))
 
 
 def det_rational(m: RatMatrix) -> Fraction:
     """Exact determinant of a square rational matrix.
 
-    Integer Bareiss elimination of the row-scaled matrix, divided by the
-    product of the row scales.
+    Integer Bareiss elimination of D*m, D the lcm of all denominators:
+    det m is sign / D^n times the last pivot, as in ``det_poly``.
     """
     rows, cols = matrix_dims(m)
     if rows != cols:
         raise ValueError("determinant needs a square matrix")
     if rows == 0:
         return Fraction(1)
-    work, scale = _clear_rows(m)
+    work, scale = _int_matrix(m)
     sign = _det_sign(work, _int_step)
-    return Fraction(sign * work[-1][-1], scale)
+    return Fraction(sign * work[-1][-1], scale**rows)
 
 
 def inverse_rational(m: RatMatrix) -> list[list[Fraction]]:
@@ -246,7 +240,23 @@ def det_poly(m: PolyMatrix) -> MultiPoly:
         return MultiPoly.constant(1, num_vars)
     work, scale = _int_poly_matrix(m)
     sign = _det_sign(work, _poly_step)
-    return _rescaled_poly(num_vars, work[-1][-1], Fraction(sign, scale**rows))
+    return _unscaled_det(num_vars, work, sign, scale)
+
+
+def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], Optional[MultiPoly]]:
+    """Pivot columns of a square ``m`` over Z[x], and det m at full rank (else None).
+
+    ``det_poly`` without its early stop.  Column c gets a pivot exactly
+    when it is not a Q(x)-combination of the columns before it.
+    """
+    num_vars = _shared_num_vars(m)
+    work, scale = _int_poly_matrix(m)
+    steps = list(_bareiss(work, _poly_step))
+    pivots = tuple(c for c, _ in steps)
+    if len(pivots) < len(m):
+        return pivots, None
+    sign = (-1) ** sum(swapped for _, swapped in steps)
+    return pivots, _unscaled_det(num_vars, work, sign, scale)
 
 
 def _int_poly_matrix(m: PolyMatrix) -> tuple[list[list[dict]], int]:
@@ -259,9 +269,10 @@ def _int_poly_matrix(m: PolyMatrix) -> tuple[list[list[dict]], int]:
     return work, scale
 
 
-def _rescaled_poly(num_vars: int, terms: dict, factor: Fraction) -> MultiPoly:
-    """The ``MultiPoly`` of an integer term dict times ``factor``."""
-    return MultiPoly(num_vars, {e: c * factor for e, c in terms.items()})
+def _unscaled_det(num_vars: int, work: list[list[dict]], sign: int, scale: int) -> MultiPoly:
+    """det m from an eliminated n x n ``work`` = D*m: sign / D^n times the last pivot."""
+    factor = Fraction(sign, scale ** len(work))
+    return MultiPoly(num_vars, {e: c * factor for e, c in work[-1][-1].items()})
 
 
 def _shared_num_vars(m: PolyMatrix) -> int:

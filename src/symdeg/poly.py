@@ -22,6 +22,8 @@ from .errors import PolyParseError
 
 Exponents = tuple[int, ...]
 
+_EVALUATE_BITS = 1 << 22
+
 
 def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
@@ -343,15 +345,24 @@ def differentiate(p: MultiPoly, var_index: int) -> MultiPoly:
 
 
 def evaluate(p: MultiPoly, point: Sequence[Fraction | int]) -> Fraction:
-    """Exact value of p at a rational point."""
+    """Exact value of p at a rational point.
+
+    A term takes at least sum_i e_i * (b_i - 1) bits, b_i the larger bit
+    length of coordinate i's numerator and denominator, so 0 and +-1 cost
+    nothing.  Past ``_EVALUATE_BITS`` (half a megabyte) ValueError is
+    raised before the power is taken: 2^(10^12) alone would need 125 GB.
+    """
     if len(point) != p.num_vars:
         raise ValueError(f"point has {len(point)} coordinates, expected {p.num_vars}")
     coords = [c if isinstance(c, Fraction) else Fraction(c) for c in point]
     total = Fraction(0)
     for exps, coeff in p.terms.items():
-        value = coeff
+        value, bits = coeff, 0
         for c, e in zip(coords, exps):
             if e:
+                bits += e * (max(c.numerator.bit_length(), c.denominator.bit_length(), 1) - 1)
+                if bits > _EVALUATE_BITS:
+                    raise ValueError(f"value needs at least {bits} bits (budget {_EVALUATE_BITS})")
                 value *= c**e
         total += value
     return total

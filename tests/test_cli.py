@@ -448,6 +448,33 @@ def test_huge_exponents_answer_symbolically(argv, key, expected):
         assert out["witness_rows"] == out["witness_cols"] == [0, 1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("rank-at", HUGE_FERMAT, "2,3"), ("stratify", HUGE_FERMAT, "1,1;2,3")],
+    ids=["rank-at", "stratify"],
+)
+def test_huge_exponents_at_a_point_stop_at_the_evaluation_budget(argv):
+    # 2^(10^12) would take 125 GB; the evaluation budget turns the hang
+    # into exit 2 with one error line.
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-m", "symdeg.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+
+def test_huge_exponents_at_unit_coordinates_cost_nothing(capsys):
+    code, out, err = run(capsys, "rank-at", HUGE_FERMAT, "1,-1")
+    assert (code, err) == (0, "")
+    assert out.strip().endswith("2")
+
+
 def test_rational_point_coordinates_accepted(capsys):
     code, out, _ = run(capsys, "rank-at", FERMAT, "1,-1,0,0")
     assert code == 0

@@ -383,6 +383,34 @@ def test_ambient_certificate_rejects_zero_witness_minor(monkeypatch):
         ambient_rank_certificate(h)
 
 
+@pytest.mark.parametrize(
+    "text, names, calls",
+    [
+        (FERMAT, X, (0, 0)),
+        (QUARTIC, W, (0, 1)),
+        ("x1^2*x3 + x3^3", X, (1, 5)),
+        ("x0^2*x1", X[:3], (1, 1)),
+    ],
+    ids=["fermat", "quartic", "x1^2*x3 + x3^3", "x0^2*x1"],
+)
+def test_each_principal_determinant_is_computed_at_most_once(monkeypatch, text, names, calls):
+    # (ambient, hypersurface) det_poly calls.  At full rank the ambient
+    # minor comes from the elimination itself; below it, from one
+    # det_poly, and the hypersurface search reuses that minor when it
+    # reaches the witness set: (1, 3) for x1^2*x3 + x3^3, after four others.
+    from symdeg import hessian
+
+    seen = []
+    monkeypatch.setattr(hessian, "det_poly", lambda m: seen.append(len(m)) or det_poly(m))
+    h = build_hessian(parse_poly(text, names))
+    counts = []
+    for certify in (ambient_rank_certificate, hypersurface_rank_certificate):
+        seen.clear()
+        certify(h)
+        counts.append(len(seen))
+    assert tuple(counts) == calls
+
+
 # -- stratification ------------------------------------------------------------
 
 

@@ -101,6 +101,15 @@ def test_rank_rational_entries():
     assert rank_rational(m) == 2
     dependent = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
     assert rank_rational(dependent) == 1
+    # int and Fraction mixed, each row with its own denominators
+    mixed = [
+        [1, Fraction(1, 4), 2],
+        [Fraction(2, 3), Fraction(1, 6), Fraction(4, 3)],
+        [0, 5, Fraction(7, 5)],
+    ]
+    assert rank_rational(mixed) == 2
+    # a float entry keeps its exact binary value
+    assert rank_rational([[0.5, 1], [1, 2]]) == 1
 
 
 @settings(deadline=None)
@@ -123,6 +132,8 @@ def test_rank_matches_snf_nonzero_count(m):
 def test_det_rational_golden():
     assert det_rational([[1, 2], [3, 4]]) == -2
     assert det_rational([[Fraction(1, 2)]]) == Fraction(1, 2)
+    assert det_rational([[1, Fraction(1, 4)], [Fraction(2, 3), 5]]) == Fraction(29, 6)
+    assert det_rational([[0.5]]) == Fraction(1, 2)
 
 
 def rationals():

@@ -178,6 +178,18 @@ def test_evaluate_int_and_float_points_are_exact():
         assert value == evaluate(p, exact)
 
 
+def test_evaluate_budget_bounds_each_term():
+    from symdeg.poly import _EVALUATE_BITS
+
+    p = parse_poly(f"x0^{_EVALUATE_BITS} + x1^{10**12}", ["x0", "x1"])
+    # 2^e costs e bits, 1/2 the same; 0 and +-1 cost nothing
+    assert evaluate(p, [2, 0]) == 2**_EVALUATE_BITS
+    assert evaluate(p, [Fraction(-1, 2), 1]) == Fraction(1, 2**_EVALUATE_BITS) + 1
+    for point in ([4, 1], [Fraction(1, 4), 1], [1, 2]):
+        with pytest.raises(ValueError, match="budget"):
+            evaluate(p, point)
+
+
 def test_evaluate_dimension_mismatch():
     p = parse_poly("x0", ["x0"])
     with pytest.raises(ValueError):
