@@ -42,6 +42,14 @@ from .poly import MultiPoly, parse_poly
 
 _INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(0|[1-9]\d*)\Z")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# The longest list built from one integer: the quad-betti table, the
+# default Betti vector of bounds replay and an inferred variable list.
+_MAX_LENGTH = 1 << 16
+
+
+def _check_length(what: str, length: int) -> None:
+    if length > _MAX_LENGTH:
+        raise ValueError(f"{what} would have {length} entries (limit {_MAX_LENGTH})")
 
 
 def _read_inline_or_file(text: str) -> str:
@@ -72,6 +80,7 @@ def infer_variables(text: str) -> list[str]:
         raise ValueError(
             "mixed variable prefixes; pass --vars explicitly"
         )
+    _check_length("the variable list", top + 1)
     prefix = prefixes.pop()
     return [f"{prefix}{i}" for i in range(top + 1)]
 
@@ -227,6 +236,7 @@ def _cmd_check_rank_relation(args: argparse.Namespace) -> int:
 
 def _cmd_quad_betti(args: argparse.Namespace) -> int:
     r = args.r
+    _check_length("the rank table", r - 1)
     # at least one library call, so r < 2 is rejected as in quadric_betti
     table = [quadrics.quadric_betti(r, i) for i in range(max(r - 1, 1))]
     return _emit(
@@ -284,6 +294,7 @@ def _cmd_torsion(args: argparse.Namespace) -> int:
 
 def _cmd_bounds_replay(args: argparse.Namespace) -> int:
     if args.betti is None:
+        _check_length("the default Betti vector", 2 * args.d + 1)
         betti = [0] * (2 * args.d) + [1]
     else:
         betti = _parse_betti(args.betti)

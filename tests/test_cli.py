@@ -25,6 +25,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter, killed after 60 s: a hang fails the test."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, "-m", "symdeg.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+
+
 # -- variable inference ----------------------------------------------------------
 
 
@@ -432,15 +445,7 @@ def test_huge_exponents_answer_symbolically(argv, key, expected):
     # No step evaluates the form at a point, so exponents near 10^12 cost
     # no more than small ones.  A subprocess with a timeout turns a hang
     # into a failure.
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run(
-        [sys.executable, "-m", "symdeg.cli", *argv, "--format", "json"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+    done = run_subprocess(*argv, "--format", "json")
     assert (done.returncode, done.stderr) == (0, "")
     out = json.loads(done.stdout)
     assert out[key] == expected
@@ -456,17 +461,47 @@ def test_huge_exponents_answer_symbolically(argv, key, expected):
 def test_huge_exponents_at_a_point_stop_at_the_evaluation_budget(argv):
     # 2^(10^12) would take 125 GB; the evaluation budget turns the hang
     # into exit 2 with one error line.
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run(
-        [sys.executable, "-m", "symdeg.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+    done = run_subprocess(*argv)
     assert (done.returncode, done.stdout) == (2, "")
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (
+            ("check-rank-relation", "x0^999999999999 - x1^999999999999 + x2^999999999999", "1,1,0"),
+            "budget 2048",
+        ),
+        (("quad-betti", "100000000000"), "limit 65536"),
+        (("bounds", "replay", "4", "3", "100000000000"), "limit 65536"),
+    ],
+    ids=["check-rank-relation", "quad-betti", "bounds-replay"],
+)
+def test_huge_arguments_stop_at_a_budget(argv, budget):
+    # A power of a linear form with 10^12 terms, a table of 10^11 entries
+    # and a default Betti vector of 2*10^11 + 1 entries are refused before
+    # they are built.
+    done = run_subprocess(*argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+    assert budget in done.stderr
+
+
+def test_list_limit_is_inclusive(capsys):
+    from symdeg.cli import _MAX_LENGTH
+
+    code, out, _ = run(capsys, "quad-betti", str(_MAX_LENGTH + 1), "--format", "json")
+    assert code == 0 and len(json.loads(out)["table"]) == _MAX_LENGTH
+    assert len(infer_variables(f"x{_MAX_LENGTH - 1}")) == _MAX_LENGTH
+    too_long = [
+        ("quad-betti", str(_MAX_LENGTH + 2)),
+        ("bounds", "replay", "4", "3", "32768"),
+        ("hessian", f"x{_MAX_LENGTH}^2"),
+    ]
+    for argv in too_long:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "limit" in err
 
 
 def test_huge_exponents_at_unit_coordinates_cost_nothing(capsys):

@@ -305,7 +305,7 @@ def test_exact_division_refuses_quotients_outside_the_ring():
 @pytest.mark.parametrize(
     "rows",
     [
-        # column 1 has no pivot once column 0 is eliminated: det 0, early stop
+        # column 1 has no pivot once column 0 is eliminated: det 0
         [["x0", "x1", "1"], ["2*x0", "2*x1", "x1"], ["3*x0", "3*x1", "x0"]],
         # column 1 needs a row swap once column 0 is eliminated
         [["x0", "x1", "1"], ["2*x0", "2*x1", "x1"], ["x1", "x0", "x0"]],

@@ -426,6 +426,30 @@ def test_compose_linear_swaps_variables():
     assert compose_linear(p, swap) == parse_poly("x1^2*x0", ["x0", "x1"])
 
 
+def test_compose_linear_budget_bounds_each_term():
+    from symdeg.poly import _COMPOSE_TERMS, _EVALUATE_BITS
+
+    names = ["x0", "x1", "x2"]
+    mix = [[1, 1, 0], [0, 1, -1], [0, 0, 1]]
+    # (y0 + y1)^44 * (y1 - y2)^44 has at most 45 * 45 terms; one more power needs 45 * 46
+    assert 45 * 45 <= _COMPOSE_TERMS < 45 * 46
+    composed = compose_linear(parse_poly("x0^44*x1^44", names), mix)
+    assert len(composed.terms) <= 45 * 45
+    with pytest.raises(ValueError, match="terms"):
+        compose_linear(parse_poly("x0^44*x1^45", names), mix)
+    # in two variables a degree-100 product has at most 101 terms, whatever the powers
+    p = parse_poly("x0^50*x1^50", names[:2])
+    assert 51 * 51 > _COMPOSE_TERMS
+    assert compose_linear(p, [[1, 1], [1, -1]]) == parse_poly("x0^2 - x1^2", names[:2]) ** 50
+    # a monomial image costs no terms; c^e costs e * (bits of c - 1)
+    p = parse_poly(f"x0^{_EVALUATE_BITS}", ["x0"])
+    assert compose_linear(p, [[2]]).terms == {(_EVALUATE_BITS,): 2**_EVALUATE_BITS}
+    assert compose_linear(p * p, [[-1]]) == p * p
+    for c in (4, Fraction(1, 4), Fraction(-3, 4)):
+        with pytest.raises(ValueError, match="bits"):
+            compose_linear(p, [[c]])
+
+
 @settings(deadline=None, max_examples=50)
 @given(polys(num_vars=2, max_degree=2), st.data())
 def test_compose_linear_matches_pointwise(p, data):
