@@ -217,11 +217,10 @@ def det_poly(m: PolyMatrix) -> MultiPoly:
     rows, cols = matrix_dims(m)
     if rows != cols:
         raise ValueError("determinant needs a square matrix")
-    num_vars = _shared_num_vars(m)
     if rows == 0:
-        return MultiPoly.constant(1, num_vars)
+        return MultiPoly.constant(1, _shared_num_vars(m))
     det = _pivot_columns_poly(m)[1]
-    return MultiPoly.zero(num_vars) if det is None else det
+    return MultiPoly.zero(m[0][0].num_vars) if det is None else det
 
 
 def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], Optional[MultiPoly]]:

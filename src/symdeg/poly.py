@@ -24,7 +24,7 @@ from .errors import PolyParseError
 Exponents = tuple[int, ...]
 
 _EVALUATE_BITS = 1 << 22
-_COMPOSE_TERMS = 1 << 11
+_COMPOSE_TERMS = 1 << 20
 
 
 def _grlex_key(exps: Exponents) -> tuple[int, Exponents]:
@@ -482,11 +482,14 @@ def compose_linear(p: MultiPoly, matrix: Sequence[Sequence[Fraction | int]]) -> 
     power of an m-term linear form to the e has C(e+m-1, m-1) terms, and
     a product of degree d in n variables at most C(d+n-1, n-1), so the
     smaller of the two (one factor per power) bounds every intermediate.
-    Past ``_COMPOSE_TERMS`` terms, or past ``_EVALUATE_BITS`` bits for
-    c^e (c the image's longest coefficient, bits estimated as in
-    ``evaluate``), ValueError is raised before the term is expanded.
-    At 2^11 terms the slowest terms, binary forms of degree 2047, take
-    about 15 s (Python 3.11, one core); every quartic in 13 variables fits.
+    The power also holds c^e, c the image's longest coefficient (the
+    coefficient of that variable to the e).  Past ``_COMPOSE_TERMS``
+    terms, or when one such factor c^e needs more than ``_EVALUATE_BITS``
+    bits (estimated as in ``evaluate``), ValueError is raised before the
+    term is expanded.  The term budget bounds memory, not time: a term
+    of 2^20 Fraction coefficients takes hundreds of megabytes, while
+    a dense form of degree 10 in 6 variables or a quartic in 30 (the
+    powers of one dense row in ``adapt_coordinates``) stays far below.
     """
     n = p.num_vars
     if len(matrix) != n or any(len(row) != n for row in matrix):

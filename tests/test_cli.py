@@ -471,7 +471,7 @@ def test_huge_exponents_at_a_point_stop_at_the_evaluation_budget(argv):
     [
         (
             ("check-rank-relation", "x0^999999999999 - x1^999999999999 + x2^999999999999", "1,1,0"),
-            "budget 2048",
+            "budget 1048576",
         ),
         (("quad-betti", "100000000000"), "limit 65536"),
         (("bounds", "replay", "4", "3", "100000000000"), "limit 65536"),
@@ -486,6 +486,13 @@ def test_huge_arguments_stop_at_a_budget(argv, budget):
     assert (done.returncode, done.stdout) == (2, "")
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
     assert budget in done.stderr
+
+
+def test_dense_quartic_in_14_variables_is_adapted(capsys):
+    # The dense row of the adapted coordinates raises x0^4 to C(17, 13) = 2,380 terms.
+    form = " + ".join(f"x{i}^4" for i in range(13)) + " - 13*x13^4"
+    code, out, _ = run(capsys, "check-rank-relation", form, ",".join(["1"] * 14))
+    assert code == 0 and "rank Q = rank A + 2: holds" in out
 
 
 def test_list_limit_is_inclusive(capsys):

@@ -426,21 +426,31 @@ def test_compose_linear_swaps_variables():
     assert compose_linear(p, swap) == parse_poly("x1^2*x0", ["x0", "x1"])
 
 
-def test_compose_linear_budget_bounds_each_term():
-    from symdeg.poly import _COMPOSE_TERMS, _EVALUATE_BITS
+def test_compose_linear_budget_bounds_each_term(monkeypatch):
+    import symdeg.poly
+    from symdeg.poly import _EVALUATE_BITS
 
     names = ["x0", "x1", "x2"]
     mix = [[1, 1, 0], [0, 1, -1], [0, 0, 1]]
-    # (y0 + y1)^44 * (y1 - y2)^44 has at most 45 * 45 terms; one more power needs 45 * 46
-    assert 45 * 45 <= _COMPOSE_TERMS < 45 * 46
+    # (y0 + y1)^1023 * (y1 - y2)^1024 would have up to 1024 * 1025 > 2^20 terms
+    with pytest.raises(ValueError, match="budget 1048576"):
+        compose_linear(parse_poly("x0^1023*x1^1024", names), mix)
+    # the dense row of adapted coordinates raises x0^4 in 14 variables to 2,380 terms
+    wide = [f"x{i}" for i in range(14)]
+    dense = [[int(i == j) for j in range(14)] for i in range(14)]
+    dense[0] = [Fraction(j + 1, 3) for j in range(14)]
+    row = parse_poly(" + ".join(f"{j + 1}/3*x{j}" for j in range(14)), wide)
+    assert compose_linear(parse_poly("x0^4", wide), dense) == row**4
+    # the same bounds, inclusive, under a budget small enough to build
+    monkeypatch.setattr(symdeg.poly, "_COMPOSE_TERMS", 45 * 45)
     composed = compose_linear(parse_poly("x0^44*x1^44", names), mix)
     assert len(composed.terms) <= 45 * 45
     with pytest.raises(ValueError, match="terms"):
         compose_linear(parse_poly("x0^44*x1^45", names), mix)
     # in two variables a degree-100 product has at most 101 terms, whatever the powers
     p = parse_poly("x0^50*x1^50", names[:2])
-    assert 51 * 51 > _COMPOSE_TERMS
     assert compose_linear(p, [[1, 1], [1, -1]]) == parse_poly("x0^2 - x1^2", names[:2]) ** 50
+    monkeypatch.undo()
     # a monomial image costs no terms; c^e costs e * (bits of c - 1)
     p = parse_poly(f"x0^{_EVALUATE_BITS}", ["x0"])
     assert compose_linear(p, [[2]]).terms == {(_EVALUATE_BITS,): 2**_EVALUATE_BITS}
