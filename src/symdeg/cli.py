@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from . import bounds as bounds_mod
 from . import quadrics
 from .dualvariety import dual_dimension, rank_relation_check
-from .errors import InternalCheckError
+from .errors import InternalCheckError, check_length
 from .hessian import (
     HessianForm,
     ambient_rank_certificate,
@@ -42,14 +42,7 @@ from .poly import MultiPoly, parse_poly
 
 _INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(0|[1-9]\d*)\Z")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-# The longest list built from one integer: the quad-betti table, the
-# default Betti vector of bounds replay and an inferred variable list.
-_MAX_LENGTH = 1 << 16
-
-
-def _check_length(what: str, length: int) -> None:
-    if length > _MAX_LENGTH:
-        raise ValueError(f"{what} would have {length} entries (limit {_MAX_LENGTH})")
+_PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def _read_inline_or_file(text: str) -> str:
@@ -80,7 +73,7 @@ def infer_variables(text: str) -> list[str]:
         raise ValueError(
             "mixed variable prefixes; pass --vars explicitly"
         )
-    _check_length("the variable list", top + 1)
+    check_length("the variable list", top + 1)
     prefix = prefixes.pop()
     return [f"{prefix}{i}" for i in range(top + 1)]
 
@@ -96,17 +89,23 @@ def _poly_arg(args: argparse.Namespace) -> tuple[MultiPoly, list[str]]:
     return parse_poly(text, var_names), var_names
 
 
-def _parse_point(text: str) -> list[Fraction]:
+def _parse_point(text: str) -> list[Fraction | int]:
+    """Coordinates as ``Fraction(part)`` values; a plain ASCII integer is read by ``int``.
+
+    Only ``[+-]?[0-9]+`` takes the fast path: ``int`` alone would also
+    accept ``1_000`` and non-ASCII digits, which ``Fraction`` may refuse,
+    so every string keeps the outcome and value ``Fraction`` gives it.
+    """
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise ValueError(f"malformed point {text!r}")
     try:
-        return [Fraction(p) for p in parts]
+        return [int(p) if _PLAIN_INT.fullmatch(p) else Fraction(p) for p in parts]
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in point {text!r}") from None
 
 
-def _parse_points_arg(text: str) -> list[list[Fraction]]:
+def _parse_points_arg(text: str) -> list[list[Fraction | int]]:
     raw = _read_inline_or_file(text)
     if text.startswith("@"):
         lines = [ln.strip() for ln in raw.splitlines()]
@@ -236,7 +235,7 @@ def _cmd_check_rank_relation(args: argparse.Namespace) -> int:
 
 def _cmd_quad_betti(args: argparse.Namespace) -> int:
     r = args.r
-    _check_length("the rank table", r - 1)
+    check_length("the rank table", r - 1)
     # at least one library call, so r < 2 is rejected as in quadric_betti
     table = [quadrics.quadric_betti(r, i) for i in range(max(r - 1, 1))]
     return _emit(
@@ -294,7 +293,7 @@ def _cmd_torsion(args: argparse.Namespace) -> int:
 
 def _cmd_bounds_replay(args: argparse.Namespace) -> int:
     if args.betti is None:
-        _check_length("the default Betti vector", 2 * args.d + 1)
+        check_length("the default Betti vector", 2 * args.d + 1)
         betti = [0] * (2 * args.d) + [1]
     else:
         betti = _parse_betti(args.betti)

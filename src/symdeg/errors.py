@@ -8,6 +8,17 @@ signals a bug or a violated mathematical invariant, never bad user input.
 
 from __future__ import annotations
 
+# The longest list built from one integer of the input: the quad-betti
+# table, the default Betti vector of bounds replay, an inferred variable
+# list and the distinct entries of a Hessian.
+MAX_LENGTH = 1 << 16
+
+
+def check_length(what: str, length: int) -> None:
+    """ValueError when a list would be longer than ``MAX_LENGTH``."""
+    if length > MAX_LENGTH:
+        raise ValueError(f"{what} would have {length} entries (limit {MAX_LENGTH})")
+
 
 class PolyParseError(ValueError):
     """Raised when polynomial text cannot be parsed."""

@@ -2,25 +2,33 @@
 
 The form attached to f is the symmetric matrix of second partials; its
 entries are homogeneous of degree d-2, so the rank at a projective point
-does not depend on the chosen lift.  Generic ranks (over the ambient
-space and over the hypersurface f = 0) are certified symbolically by an
-explicit minor.  The ambient rank is one fraction-free elimination of
-the whole matrix.  The form is symmetric, so both witnesses are
-principal minors, and the hypersurface search tries C(n, k) index sets
-per size instead of C(n, k)^2.
+does not depend on the chosen lift.  Pointwise ranks (``rank_at``,
+``stratify``) use that freedom: the point is replaced by its primitive
+integer lift, the Hessian by D times itself (D clearing its coefficient
+denominators), and the rank is one integer Bareiss elimination.
+``evaluate_hessian`` keeps the rational matrix for callers that need its
+values.  Generic ranks (over the ambient space and over the hypersurface
+f = 0) are certified symbolically by an explicit minor.  The ambient
+rank is one fraction-free elimination of the whole matrix.  The form is
+symmetric, so both witnesses are principal minors, and the hypersurface
+search tries C(n, k) index sets per size instead of C(n, k)^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, check_length
 from .linalg import (
-    _colex_subsets, _pivot_columns_poly, det_poly, inverse_rational, mat_vec, rank_rational,
+    _bareiss, _colex_subsets, _int_step, _pivot_columns_poly, det_poly, inverse_rational, mat_vec,
 )
-from .poly import MultiPoly, compose_linear, differentiate, divides, evaluate, homogeneous_degree
+from .poly import (
+    _EVALUATE_BITS, MultiPoly, _extra_bits, compose_linear, differentiate, divides, evaluate,
+    homogeneous_degree,
+)
 
 Point = Sequence[Fraction | int]
 
@@ -40,7 +48,12 @@ class HessianForm:
 
 
 def build_hessian(f: MultiPoly) -> HessianForm:
-    """Second-partials matrix of a homogeneous f of degree >= 2."""
+    """Second-partials matrix of a homogeneous f of degree >= 2.
+
+    Its n(n+1)/2 distinct entries are bounded by ``MAX_LENGTH`` before
+    any is computed: a single stray index such as x5000 would otherwise
+    start an n^2 construction that does not finish.
+    """
     d = homogeneous_degree(f)
     if d is None:
         if f.is_zero():
@@ -49,6 +62,7 @@ def build_hessian(f: MultiPoly) -> HessianForm:
     if d < 2:
         raise ValueError(f"degree {d} < 2: the Hessian form needs degree >= 2")
     n = f.num_vars
+    check_length("the Hessian upper triangle", n * (n + 1) // 2)
     gradient = [differentiate(f, i) for i in range(n)]
     rows: list[tuple[MultiPoly, ...]] = []
     for i in range(n):
@@ -68,21 +82,98 @@ def _check_point(h: HessianForm, p: Point) -> list[Fraction]:
     return coords
 
 
-def _hessian_at(h: HessianForm, coords: list[Fraction]) -> list[list[Fraction]]:
-    """The matrix at checked coordinates: the upper triangle, mirrored."""
-    at: list[list[Fraction]] = []
-    for i, row in enumerate(h.hessian):
-        at.append([at[j][i] for j in range(i)] + [evaluate(e, coords) for e in row[i:]])
-    return at
+def _symmetric(n: int, upper: list) -> list[list]:
+    """The symmetric n x n matrix whose upper triangle, in row order, is ``upper``."""
+    rows: list[list] = []
+    k = 0
+    for i in range(n):
+        rows.append([rows[j][i] for j in range(i)] + upper[k : k + n - i])
+        k += n - i
+    return rows
 
 
 def evaluate_hessian(h: HessianForm, p: Point) -> list[list[Fraction]]:
-    return _hessian_at(h, _check_point(h, p))
+    """The rational matrix at a nonzero point."""
+    coords = _check_point(h, p)
+    upper = [evaluate(e, coords) for i, row in enumerate(h.hessian) for e in row[i:]]
+    return _symmetric(h.size, upper)
+
+
+_Term = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _integer_plan(h: HessianForm) -> list[list[_Term]]:
+    """The upper triangle of D*H in row order, D the lcm of its denominators.
+
+    Each entry is a list of (integer coefficient, ((variable, exponent),
+    ...)) pairs, zero exponents left out.
+    """
+    upper = [e for i, row in enumerate(h.hessian) for e in row[i:]]
+    scale = lcm(*(c.denominator for e in upper for c in e.terms.values()))
+    return [
+        [
+            (c.numerator * (scale // c.denominator), tuple((v, k) for v, k in enumerate(exps) if k))
+            for exps, c in e.terms.items()
+        ]
+        for e in upper
+    ]
+
+
+def _primitive_lift(coords: Sequence[Fraction]) -> list[int]:
+    """The primitive integer vector on the line through nonzero ``coords``."""
+    scale = lcm(*(c.denominator for c in coords))
+    ints = [c.numerator * (scale // c.denominator) for c in coords]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def _integer_rank(h: HessianForm, plan: list[list[_Term]], coords: Sequence[Fraction]) -> int:
+    """Rank of the form at checked coordinates, computed entirely over Z.
+
+    Soundness.  Let q be the primitive integer lift of the point, q =
+    lambda*p with lambda a nonzero rational.  The entries of H are
+    homogeneous of degree d-2, so H(q) = lambda^(d-2) H(p); and ``plan``
+    holds D*H with D the nonzero lcm of the coefficient denominators.
+    The integer matrix D*H(q) is therefore a nonzero multiple of H(p), and
+    has the same rank over Q.  That rank is the pivot count of the one
+    Bareiss elimination, whose every division is checked to be exact
+    (``linalg._bareiss``); nothing is decided modulo a prime.
+
+    The evaluation budget of ``poly.evaluate`` applies to q: a term
+    raising q_i to e_i needs at least sum e_i*(b_i - 1) bits, b_i the bit
+    length of q_i, and more than ``_EVALUATE_BITS`` raises ValueError
+    before any power is taken.  Every term has degree d-2, so when
+    (d-2)*max(b_i - 1) is within budget no term is checked.
+    """
+    lift = _primitive_lift(coords)
+    if (h.degree - 2) * (max(map(abs, lift)).bit_length() - 1) > _EVALUATE_BITS:
+        extra = [_extra_bits(x) for x in lift]
+        for terms in plan:
+            for _, factors in terms:
+                bits = sum(e * extra[v] for v, e in factors)
+                if bits > _EVALUATE_BITS:
+                    raise ValueError(f"value needs at least {bits} bits (budget {_EVALUATE_BITS})")
+    values = []
+    for terms in plan:
+        total = 0
+        for coeff, factors in terms:
+            for v, e in factors:
+                coeff *= lift[v] ** e
+            total += coeff
+        values.append(total)
+    return len(_bareiss(_symmetric(h.size, values), _int_step)[0])
 
 
 def rank_at(h: HessianForm, p: Point) -> int:
-    """Rank of the form at a nonzero point (lift-independent)."""
-    return rank_rational(evaluate_hessian(h, p))
+    """Rank of the form at a nonzero point, exact and lift-independent.
+
+    Computed over Z: H at the primitive integer lift of p, scaled by the
+    lcm D of the coefficient denominators, is a nonzero multiple of H(p)
+    (the entries are homogeneous), so it has the same rank, and that rank
+    is the pivot count of an integer Bareiss elimination with every
+    division checked exact.  See ``_integer_rank``.
+    """
+    return _integer_rank(h, _integer_plan(h), _check_point(h, p))
 
 
 # -- generic rank certificates -------------------------------------------------
@@ -221,10 +312,18 @@ class RankStratification:
 
 
 def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:
+    """Bucket the points by the exact rank of the form, in input order.
+
+    The integer plan of D*H is built once; each point's rank is then that
+    of D*H at its primitive integer lift, a nonzero multiple of H at the
+    point (homogeneous entries), found by integer Bareiss with every
+    division checked exact.  See ``_integer_rank``.
+    """
+    plan = _integer_plan(h)
     buckets: dict[int, list[tuple[Fraction, ...]]] = {}
     for p in points:
         coords = _check_point(h, p)
-        buckets.setdefault(rank_rational(_hessian_at(h, coords)), []).append(tuple(coords))
+        buckets.setdefault(_integer_rank(h, plan, coords), []).append(tuple(coords))
     return RankStratification(buckets=buckets)
 
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdeg.cli import infer_variables, main
+from symdeg import MultiPoly, build_hessian, parse_poly
+from symdeg.cli import _parse_point, infer_variables, main
 
 QUARTIC = "w0^2*w3^2 - 6*w0*w1*w2*w3 + 4*w0*w2^3 + 4*w1^3*w3 - 3*w1^2*w2^2"
 FERMAT = "x0^3 + x1^3 + x2^3 + x3^3"
@@ -466,6 +467,40 @@ def test_huge_exponents_at_a_point_stop_at_the_evaluation_budget(argv):
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
 
 
+def test_primitive_lift_makes_a_refused_point_cheap():
+    # (1/2, -1/2) lifts to (1, -1), where x^(10^12 - 2) costs no bits;
+    # evaluation at the rational point itself would need 10^12 bits.
+    done = run_subprocess("rank-at", HUGE_FERMAT, "1/2,-1/2", "--format", "json")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["rank"] == 2
+
+
+def test_evaluation_budget_error_names_the_budget():
+    done = run_subprocess("rank-at", HUGE_FERMAT, "2,3")
+    assert done.stderr == "error: value needs at least 999999999997 bits (budget 4194304)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, entries",
+    [(("hessian", "x5000^2"), 12507501), (("generic-rank", "x3000^3"), 4504501)],
+    ids=["hessian", "generic-rank"],
+)
+def test_hessian_size_is_bounded_before_it_is_built(argv, entries):
+    # One index names n variables, and the Hessian has n(n+1)/2 distinct
+    # entries; both inputs hung before the bound.
+    done = run_subprocess(*argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"error: the Hessian upper triangle would have {entries} entries (limit 65536)\n"
+    )
+
+
+def test_hessian_of_a_300_variable_quadric_builds():
+    quadric = " + ".join(f"x{i}^2" for i in range(300))
+    h = build_hessian(parse_poly(quadric, infer_variables(quadric)))
+    assert h.size == 300 and h.hessian[299][299] == MultiPoly.constant(2, 300)
+
+
 @pytest.mark.parametrize(
     "argv, budget",
     [
@@ -496,7 +531,7 @@ def test_dense_quartic_in_14_variables_is_adapted(capsys):
 
 
 def test_list_limit_is_inclusive(capsys):
-    from symdeg.cli import _MAX_LENGTH
+    from symdeg.errors import MAX_LENGTH as _MAX_LENGTH
 
     code, out, _ = run(capsys, "quad-betti", str(_MAX_LENGTH + 1), "--format", "json")
     assert code == 0 and len(json.loads(out)["table"]) == _MAX_LENGTH
@@ -524,6 +559,50 @@ def test_rational_point_coordinates_accepted(capsys):
     code, out, _ = run(capsys, "rank-at", FERMAT, "1/2,-1/2,0,0")
     assert code == 0
     assert out.strip().endswith("2")
+
+
+def _fraction_outcome(text):
+    """What ``[Fraction(s) for s in parts]`` makes of a point: its values, or None."""
+    from fractions import Fraction
+
+    try:
+        return [Fraction(p.strip()) for p in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _parse_outcome(text):
+    try:
+        return _parse_point(text)
+    except ValueError:
+        return None
+
+
+POINT_TOKENS = [
+    "+12", "-0", "0012", "3/4", "-3/4", "1.5", "1e3", "1_000", "\u0661\u0662", "\uff17",
+    "0x10", "1/0", "abc", "", " 7 ", "+-1", "--1", "1 2", "7\n",
+]
+
+
+@pytest.mark.parametrize("token", POINT_TOKENS)
+def test_point_parsing_matches_fraction(token):
+    # The int fast path must not change which strings are accepted, nor
+    # their values, on any supported Python.
+    for text in (token, f"1,{token}", f"{token},{token}"):
+        assert _parse_outcome(text) == _fraction_outcome(text), text
+
+
+def test_point_parsing_matches_fraction_past_the_int_digit_limit():
+    # Python 3.11+ refuses int strings over 4,300 digits; Fraction parses
+    # through int, so both refuse alike, and both accept just under it.
+    for text in ("1" * 5000, "-" + "1" * 4300):
+        assert _parse_outcome(text) == _fraction_outcome(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+-/._eEx, \u0663\uff10", max_size=12))
+def test_point_parsing_matches_fraction_on_any_text(text):
+    assert _parse_outcome(text) == _fraction_outcome(text)
 
 
 # -- CLI contract fuzz ------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symdeg import (
@@ -195,6 +195,144 @@ def test_rank_is_lift_invariant(which, p, lam):
 def test_rank_at_matches_oracle(p):
     h = quartic()
     assert rank_at(h, p) == oracle_rank(evaluate_hessian(h, p))
+
+
+def _monomials(n, d):
+    if n == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d + 1) for rest in _monomials(n - 1, d - e)]
+
+
+@st.composite
+def rational_forms_and_points(draw):
+    """A homogeneous form of degree 2-5 with fractional coefficients, and a point.
+
+    The first coefficient has denominator 7, 11 or 13 and a numerator of
+    at most 6, and no second derivative of a degree <= 5 monomial clears
+    that denominator, so the plan is scaled by D > 1.  Coordinates have
+    denominators and are often 0 or negative.
+    """
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 5))
+    support = draw(st.lists(st.sampled_from(_monomials(n, d)), min_size=1, max_size=6, unique=True))
+    dens = [draw(st.sampled_from([7, 11, 13]))]
+    dens += [draw(st.sampled_from([1, 2, 3, 4, 7])) for _ in support[1:]]
+    nums = [draw(st.integers(-6, 6).filter(bool)) for _ in support]
+    f = MultiPoly(n, {e: Fraction(a, b) for e, a, b in zip(support, nums, dens)})
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 5]))
+    p = draw(st.lists(coord, min_size=n, max_size=n).filter(any))
+    return f, p
+
+
+@st.composite
+def power_sums_and_points(draw):
+    """f = sum_k c_k (l_k . x)^d, fewer summands than variables, and a point.
+
+    The Hessian rank is at most the number of summands and drops where
+    some l_k . x vanishes, so most ranks are below full and hinge on
+    exact values; half the points are put on l_1 . x = 0.
+    """
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(3, 5))
+    frac = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5]))
+    vector = st.lists(frac, min_size=n, max_size=n).filter(any)
+    forms = draw(st.lists(vector, min_size=1, max_size=n - 1))
+    xs = [MultiPoly.variable(i, n) for i in range(n)]
+    f = MultiPoly.zero(n)
+    for l in forms:
+        linear = MultiPoly.zero(n)
+        for a, x in zip(l, xs):
+            linear = linear + x * a
+        f = f + linear**d * draw(frac.filter(bool))
+    assume(not f.is_zero())
+    p = draw(vector)
+    first = forms[0]
+    i = next(i for i, a in enumerate(first) if a)
+    if draw(st.booleans()):
+        p[i] = -sum(a * c for j, (a, c) in enumerate(zip(first, p)) if j != i) / first[i]
+    assume(any(p))
+    return f, p
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(rational_forms_and_points(), power_sums_and_points()),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+)
+def test_integer_rank_matches_rational_rank(form_and_point, lam):
+    from symdeg.linalg import rank_rational
+
+    f, p = form_and_point
+    h = build_hessian(f)
+    rank = rank_rational(evaluate_hessian(h, p))
+    assert rank_at(h, p) == rank
+    assert rank_at(h, [lam * c for c in p]) == rank
+    assert stratify(h, [p]).buckets == {rank: [tuple(p)]}
+
+
+def test_primitive_lift():
+    from symdeg.hessian import _primitive_lift
+
+    assert _primitive_lift([Fraction(1, 2), Fraction(-1, 2)]) == [1, -1]
+    assert _primitive_lift([Fraction(0), Fraction(4, 6), Fraction(2)]) == [0, 1, 3]
+    assert _primitive_lift([Fraction(-6), Fraction(0), Fraction(9)]) == [-2, 0, 3]
+
+
+def test_integer_plan_clears_denominators():
+    from symdeg.hessian import _integer_plan
+
+    # Hessian of x0^3/7 + x0*x1^2/2 is [[6/7 x0, x1], [x1, x0]]: D = 7.
+    h = build_hessian(parse_poly("1/7*x0^3 + 1/2*x0*x1^2", ["x0", "x1"]))
+    assert _integer_plan(h) == [[(6, ((0, 1),))], [(7, ((1, 1),))], [(7, ((0, 1),))]]
+
+
+def test_pointwise_rank_keeps_the_evaluation_budget():
+    from symdeg.poly import _EVALUATE_BITS as budget
+
+    # Every Hessian term has degree d-2 = budget: 2^budget is just within it.
+    h = build_hessian(parse_poly(f"x0^{budget + 2} + x1^{budget + 2}", ["x0", "x1"]))
+    assert rank_at(h, [2, 1]) == 2
+    assert rank_at(h, [Fraction(1, 3), Fraction(1, 6)]) == 2  # lift (2, 1)
+    over = build_hessian(parse_poly(f"x0^{budget + 3} + x1^{budget + 3}", ["x0", "x1"]))
+    message = rf"value needs at least {budget + 1} bits \(budget {budget}\)"
+    with pytest.raises(ValueError, match=message):
+        rank_at(over, [2, 1])
+    with pytest.raises(ValueError, match="budget"):
+        stratify(over, [(1, 1), (2, 1)])
+    # The primitive lift of (1/2, -1/2) is (1, -1): no bits at all.
+    assert rank_at(over, [Fraction(1, 2), Fraction(-1, 2)]) == 2
+
+
+def test_pointwise_rank_never_takes_the_rational_path(monkeypatch):
+    import sys
+
+    import symdeg.linalg
+    import symdeg.poly
+
+    f = parse_poly("1/3*x0^3 - 5/2*x0*x1*x2 + 1/7*x2^3 + x1^2*x2", ["x0", "x1", "x2"])
+    h = build_hessian(f)
+    points = [
+        [Fraction(1, 2), Fraction(-3, 4), Fraction(0)],
+        [Fraction(0), Fraction(5, 3), Fraction(0)],
+        [Fraction(2), Fraction(1, 5), Fraction(-1)],
+    ]
+    expected = [symdeg.linalg.rank_rational(evaluate_hessian(h, p)) for p in points]
+    assert len(set(expected)) > 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pointwise rank fell back to the rational path")
+
+    slow = (symdeg.poly.evaluate, symdeg.linalg.rank_rational)
+    for name, module in list(sys.modules.items()):
+        if name == "symdeg" or name.startswith("symdeg."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in slow):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert [rank_at(h, p) for p in points] == expected
+    buckets = stratify(h, points).buckets
+    assert {r: len(pts) for r, pts in buckets.items()} == {
+        r: expected.count(r) for r in set(expected)
+    }
 
 
 # -- certified generic rank -------------------------------------------------------
