@@ -10,10 +10,9 @@ anywhere, the hypotheses collide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import InternalCheckError
 from .linalg import rank_rational
@@ -33,16 +32,14 @@ def main_bound(N: int, r: int) -> int:
     return N - r
 
 
-@dataclass(frozen=True)
-class BoundStep:
+class BoundStep(NamedTuple):
     statement: str
     lhs: int
     rhs: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Step-by-step replay of the dimension bound argument."""
 
     N: int

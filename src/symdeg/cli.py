@@ -3,7 +3,7 @@
 Every command accepts ``--format json`` for a machine-readable report
 with a top-level ``"schema": 1`` field; identical invocations produce
 byte-identical JSON.  JSON encoding lives only in this module: library
-reports are plain dataclasses, and ``to_json`` turns them into JSON
+reports are immutable named tuples, and ``to_json`` turns them into JSON
 values.  Exit codes: 0 success, 2 bad input, 3 failed internal
 consistency check.
 
@@ -20,8 +20,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from math import log2
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,12 +37,15 @@ from .hessian import (
     rank_at,
     stratify,
 )
-from .poly import MultiPoly, parse_poly
+from .poly import _EVALUATE_BITS, MultiPoly, parse_poly
 
 
 _INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(0|[1-9]\d*)\Z")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\Z")
+# 10^e has more than _EVALUATE_BITS bits exactly when |e| > 1,262,611.
+_MAX_EXPONENT = int(_EVALUATE_BITS / log2(10))
 
 
 def _read_inline_or_file(text: str) -> str:
@@ -89,18 +92,30 @@ def _poly_arg(args: argparse.Namespace) -> tuple[MultiPoly, list[str]]:
     return parse_poly(text, var_names), var_names
 
 
+def _coordinate(p: str) -> Fraction | int:
+    if _PLAIN_INT.fullmatch(p):
+        return int(p)
+    exponent = _EXPONENT.search(p)
+    if exponent is not None and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+        raise ValueError(f"power of ten in {p!r} exceeds the {_EVALUATE_BITS}-bit budget")
+    return Fraction(p)
+
+
 def _parse_point(text: str) -> list[Fraction | int]:
     """Coordinates as ``Fraction(part)`` values; a plain ASCII integer is read by ``int``.
 
     Only ``[+-]?[0-9]+`` takes the fast path: ``int`` alone would also
     accept ``1_000`` and non-ASCII digits, which ``Fraction`` may refuse,
     so every string keeps the outcome and value ``Fraction`` gives it.
+    The one exception is a decimal exponent e with 10^|e| beyond the
+    evaluation budget: ``Fraction`` would build that power before any
+    budget could refuse it, so the token is refused first.
     """
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):
         raise ValueError(f"malformed point {text!r}")
     try:
-        return [int(p) if _PLAIN_INT.fullmatch(p) else Fraction(p) for p in parts]
+        return [_coordinate(p) for p in parts]
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in point {text!r}") from None
 
@@ -127,12 +142,12 @@ def _parse_betti(text: str) -> list[int]:
 def to_json(value):
     """JSON value of a report: the one place symdeg decides JSON encoding.
 
-    A dataclass becomes {field name: value}, tuples and lists become
-    lists, and a Fraction becomes an int, or "p/q" when its denominator
-    is not 1.  Other values pass through unchanged.
+    A report (a named tuple) becomes {field name: value}, other tuples
+    and lists become lists, and a Fraction becomes an int, or "p/q" when
+    its denominator is not 1.  Other values pass through unchanged.
     """
-    if is_dataclass(value):
-        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: to_json(v) for name, v in zip(value._fields, value)}
     if isinstance(value, (list, tuple)):
         return [to_json(v) for v in value]
     if isinstance(value, Fraction):

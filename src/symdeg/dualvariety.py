@@ -11,9 +11,8 @@ re-verified in exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalCheckError
 from .hessian import (
@@ -29,8 +28,7 @@ from .poly import MultiPoly, compose_linear, differentiate, evaluate, homogeneou
 Point = Sequence[Fraction | int]
 
 
-@dataclass(frozen=True)
-class AdaptedForm:
+class AdaptedForm(NamedTuple):
     """f in coordinates adapted to a smooth point.
 
     ``transform`` columns: the point lift first, then a basis of the
@@ -160,8 +158,7 @@ def adapt_coordinates(f: MultiPoly, p: Point) -> AdaptedForm:
     )
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Hessian of the adapted form at the point, in block shape.
 
     ``assembled`` is the full matrix; its rank always equals
@@ -267,8 +264,7 @@ def second_order_implicit(af: AdaptedForm) -> list[list[Fraction]]:
     return q
 
 
-@dataclass(frozen=True)
-class RankRelationReport:
+class RankRelationReport(NamedTuple):
     """Hessian rank vs middle-block rank at one smooth point."""
 
     rank_q: int

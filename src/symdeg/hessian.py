@@ -16,10 +16,9 @@ search tries C(n, k) index sets per size instead of C(n, k)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError, check_length
 from .linalg import (
@@ -33,8 +32,7 @@ from .poly import (
 Point = Sequence[Fraction | int]
 
 
-@dataclass(frozen=True)
-class HessianForm:
+class HessianForm(NamedTuple):
     """Symmetric matrix of second partials with degree bookkeeping."""
 
     f: MultiPoly
@@ -179,8 +177,7 @@ def rank_at(h: HessianForm, p: Point) -> int:
 # -- generic rank certificates -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     """A certified generic rank.
 
     The witness is a principal minor: ``witness_rows == witness_cols``
@@ -304,11 +301,10 @@ def generic_rank_on_hypersurface(h: HessianForm) -> int:
 # -- stratification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankStratification:
+class RankStratification(NamedTuple):
     """Sample points bucketed by exact rank of the form."""
 
-    buckets: dict[int, list[tuple[Fraction, ...]]] = field(default_factory=dict)
+    buckets: dict[int, list[tuple[Fraction, ...]]]
 
 
 def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:
@@ -330,8 +326,7 @@ def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:
 # -- equivariance ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivarianceReport:
+class EquivarianceReport(NamedTuple):
     """Per-sample results of the transformation identity check."""
 
     passes: tuple[bool, ...]

@@ -23,10 +23,9 @@ colexicographic order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError
 from .poly import MultiPoly, _cross, _divide_terms
@@ -352,34 +351,39 @@ def smith_normal_form(
     return u, d, v
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
-    """Finitely generated abelian group: free rank plus torsion chain."""
-
+class _FGAbelianGroupFields(NamedTuple):
     free_rank: int
     torsion: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+
+class FGAbelianGroup(_FGAbelianGroupFields):
+    """Finitely generated abelian group: free rank plus torsion chain.
+
+    A NamedTuple cannot define ``__new__``, so this subclass of the field
+    tuple validates every construction; ``_make``, and so ``_replace``, too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
-        for value in self.torsion:
+        for value in torsion:
             if value < 2:
                 raise ValueError("torsion coefficients must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion coefficients must form a divisibility chain")
+        return super().__new__(cls, free_rank, torsion)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
     def __str__(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
+        free = {0: [], 1: ["Z"]}.get(self.free_rank, [f"Z^{self.free_rank}"])
+        return " + ".join(free + [f"Z/{d}" for d in self.torsion]) or "0"
 
 
 def cokernel(m: IntMatrix) -> FGAbelianGroup:
@@ -402,8 +406,7 @@ def cokernel(m: IntMatrix) -> FGAbelianGroup:
 # -- conformal factor ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConformalFactor:
+class ConformalFactor(NamedTuple):
     """Multiplier of a conformal map, with component sign in even size."""
 
     tau: Fraction

@@ -11,8 +11,7 @@ reduce to small exact calculations that can be re-run and audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError
 from .linalg import FGAbelianGroup, cokernel, smith_normal_form
@@ -71,8 +70,7 @@ def _power_label(base: str, exponent: int) -> str:
     return f"{base}^{exponent}"
 
 
-@dataclass(frozen=True)
-class QuadricFiberData:
+class QuadricFiberData(NamedTuple):
     """Rank table and labeled basis of a rank-r quadric's cohomology."""
 
     r: int
@@ -118,8 +116,7 @@ def quadric_fiber_data(r: int) -> QuadricFiberData:
     )
 
 
-@dataclass(frozen=True)
-class FiberGysin:
+class FiberGysin(NamedTuple):
     """Middle-degree behaviour of the fiber-level Gysin map."""
 
     r: int
@@ -183,8 +180,7 @@ def lh_projective_dim(betti: Sequence[int], fiber_dim: int, k: int) -> int:
 # -- certificates -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonsurjectivityCertificate:
+class NonsurjectivityCertificate(NamedTuple):
     """Dimension-count certificate that the Gysin map cannot surject."""
 
     r: int
@@ -227,8 +223,7 @@ def nonsurjectivity_certificate(
     )
 
 
-@dataclass(frozen=True)
-class PhiReplay:
+class PhiReplay(NamedTuple):
     """One run of the four-times-a membership replay."""
 
     n: int
@@ -272,8 +267,7 @@ def phi_torsion_replay(a: Sequence[IntVector], n: int) -> PhiReplay:
     )
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
+class TorsionCertificate(NamedTuple):
     """Odd-rank certificate: the Gysin quotient has an order-2 element."""
 
     r: int

@@ -26,17 +26,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*argv):
-    """The CLI in a fresh interpreter, killed after 60 s: a hang fails the test."""
+def run_python(*args):
+    """A fresh interpreter on the sources, killed after 60 s: a hang fails the test."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
-        [sys.executable, "-m", "symdeg.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=60,
         env=env,
     )
+
+
+def run_subprocess(*argv):
+    return run_python("-m", "symdeg.cli", *argv)
 
 
 # -- variable inference ----------------------------------------------------------
@@ -561,12 +565,32 @@ def test_rational_point_coordinates_accepted(capsys):
     assert out.strip().endswith("2")
 
 
+# 10^1262611 has 4,194,303 bits, 10^1262612 has 4,194,307: the last
+# decimal exponent inside the 2^22-bit evaluation budget.
+EXPONENT_LIMIT = 1_262_611
+
+
+def _huge_exponent(token):
+    _, e, tail = token.lower().rpartition("e")
+    try:
+        return bool(e) and abs(int(tail)) > EXPONENT_LIMIT
+    except ValueError:
+        return False
+
+
 def _fraction_outcome(text):
-    """What ``[Fraction(s) for s in parts]`` makes of a point: its values, or None."""
+    """What ``[Fraction(s) for s in parts]`` makes of a point: its values, or None.
+
+    One deliberate exception: a token ending in a decimal exponent past
+    ``EXPONENT_LIMIT`` is None, where Fraction would first build 10^|e|.
+    """
     from fractions import Fraction
 
+    parts = [p.strip() for p in text.split(",")]
+    if any(_huge_exponent(p) for p in parts):
+        return None
     try:
-        return [Fraction(p.strip()) for p in text.split(",")]
+        return [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError):
         return None
 
@@ -581,6 +605,8 @@ def _parse_outcome(text):
 POINT_TOKENS = [
     "+12", "-0", "0012", "3/4", "-3/4", "1.5", "1e3", "1_000", "\u0661\u0662", "\uff17",
     "0x10", "1/0", "abc", "", " 7 ", "+-1", "--1", "1 2", "7\n",
+    "1e1000", "-2.5E-1000", "1e1262612", "1E-1262612", "1e1_262_612", "1e\u0661262612",
+    "1/2e1262612", "x1e1262612",
 ]
 
 
@@ -603,6 +629,40 @@ def test_point_parsing_matches_fraction_past_the_int_digit_limit():
 @given(st.text(alphabet="0123456789+-/._eEx, \u0663\uff10", max_size=12))
 def test_point_parsing_matches_fraction_on_any_text(text):
     assert _parse_outcome(text) == _fraction_outcome(text)
+
+
+def test_decimal_exponents_up_to_the_limit_keep_their_value():
+    from fractions import Fraction
+
+    from symdeg.poly import _EVALUATE_BITS
+
+    assert (10**EXPONENT_LIMIT).bit_length() <= _EVALUATE_BITS
+    assert (10 ** (EXPONENT_LIMIT + 1)).bit_length() > _EVALUATE_BITS
+    assert _parse_point("1,1e1000") == [1, Fraction(10**1000)]
+    assert _parse_point(f"1e{EXPONENT_LIMIT}") == [10**EXPONENT_LIMIT]
+    assert _parse_point(f"3e-{EXPONENT_LIMIT}") == [Fraction(3, 10**EXPONENT_LIMIT)]
+    with pytest.raises(ValueError, match="exceeds the 4194304-bit budget"):
+        _parse_point(f"1e{EXPONENT_LIMIT + 1}")
+
+
+@pytest.mark.parametrize("coordinate", ["1e999999999", "1e-999999999", "-7.5E+999999999"])
+@pytest.mark.parametrize(
+    "command", ["rank-at", "stratify", "stratify-file", "check-rank-relation"]
+)
+def test_huge_decimal_exponents_stop_at_the_budget(tmp_path, command, coordinate):
+    # Fraction would build 10^999999999 before any budget applied: these
+    # calls ran past a 10 s timeout.
+    point = f"1,-1,0,{coordinate}"
+    if command == "stratify-file":
+        (tmp_path / "points.txt").write_text(f"1,-1,0,0\n{point}\n")
+        argv = ("stratify", FERMAT, f"@{tmp_path / 'points.txt'}")
+    elif command == "stratify":
+        argv = ("stratify", FERMAT, f"1,-1,0,0;{point}")
+    else:
+        argv = (command, FERMAT, point)
+    done = run_subprocess(*argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: power of ten in {coordinate!r} exceeds the 4194304-bit budget\n"
 
 
 # -- CLI contract fuzz ------------------------------------------------------------------
@@ -666,3 +726,82 @@ def test_cli_contract_exit_zero_or_two_without_traceback(command, rest):
             code = exc.code
     assert code in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# -- report records ---------------------------------------------------------------------
+
+RECORD_FIELDS = {
+    ("bounds", "BoundStep"): ("statement", "lhs", "rhs", "ok"),
+    ("bounds", "BoundReport"): ("N", "r", "d", "n", "steps", "verdict", "certificate"),
+    ("dualvariety", "AdaptedForm"): (
+        "transform", "f_adapted", "degree", "g", "ell", "higher", "scale",
+    ),
+    ("dualvariety", "BlockDecomposition"): ("a", "b", "l_n", "assembled"),
+    ("dualvariety", "RankRelationReport"): ("rank_q", "rank_a", "holds", "transform"),
+    ("hessian", "HessianForm"): ("f", "hessian", "degree", "ambient_dim"),
+    ("hessian", "RankCertificate"): (
+        "rank", "witness_rows", "witness_cols", "witness_minor", "on_hypersurface", "caveat",
+    ),
+    ("hessian", "RankStratification"): ("buckets",),
+    ("hessian", "EquivarianceReport"): ("passes",),
+    ("linalg", "FGAbelianGroup"): ("free_rank", "torsion"),
+    ("linalg", "ConformalFactor"): ("tau", "sign"),
+    ("quadrics", "QuadricFiberData"): ("r", "n", "parity", "dim", "basis_labels", "relations"),
+    ("quadrics", "FiberGysin"): (
+        "r", "n", "relation", "image_index", "source_rank", "target_rank",
+    ),
+    ("quadrics", "NonsurjectivityCertificate"): (
+        "r", "d", "n", "degree_source", "degree_target", "dim_source", "dim_target",
+        "surjection_impossible",
+    ),
+    ("quadrics", "PhiReplay"): ("n", "a", "b", "image", "check", "conclusion"),
+    ("quadrics", "TorsionCertificate"): (
+        "r", "d", "n", "relation", "bottom_matrix", "snf_diagonal", "quotient",
+        "element_order", "vertical_surjective",
+    ),
+}
+
+
+@pytest.mark.parametrize("module, name", list(RECORD_FIELDS), ids=[n for _, n in RECORD_FIELDS])
+def test_records_keep_their_field_order_and_are_immutable(module, name):
+    import importlib
+
+    cls = getattr(importlib.import_module(f"symdeg.{module}"), name)
+    assert cls._fields == RECORD_FIELDS[module, name]
+    values = (1, (2,)) if name == "FGAbelianGroup" else range(len(cls._fields))
+    record = cls(*values)
+    assert tuple(record) == tuple(values) and len(record) == len(cls._fields)
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+
+
+def test_to_json_turns_nested_records_into_dicts():
+    from symdeg.bounds import replay_main_theorem
+    from symdeg.cli import to_json
+    from symdeg.quadrics import torsion_certificate
+
+    cert = to_json(torsion_certificate([1, 0, 1], 3, 1))
+    assert cert["quotient"] == {"free_rank": 0, "torsion": [2]}
+    assert cert["bottom_matrix"] == [[2]]
+    for r, kind in ((3, "quotient"), (4, "surjection_impossible")):
+        report = to_json(replay_main_theorem(4, r, 1, [1, 0, 1]))
+        assert all(isinstance(step, dict) and list(step) == ["statement", "lhs", "rhs", "ok"]
+                   for step in report["steps"])
+        assert isinstance(report["certificate"], dict) and kind in report["certificate"]
+
+
+def test_cli_import_loads_no_dataclasses_and_every_traced_module():
+    # Start-up cost: dataclasses pulls in inspect, ast, dis and tokenize.
+    # The benchmark tracer patches these modules straight after this import.
+    traced = ("poly", "linalg", "hessian", "dualvariety", "quadrics", "bounds")
+    code = (
+        "import sys, symdeg.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
+        f"print([m for m in {traced!r} if 'symdeg.' + m not in sys.modules])"
+    )
+    done = run_python("-c", code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[]\n[]\n"

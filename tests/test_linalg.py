@@ -402,12 +402,20 @@ def test_snf_properties_randomized(m):
 
 
 def test_group_validation():
-    with pytest.raises(ValueError):
-        FGAbelianGroup(free_rank=-1, torsion=())
-    with pytest.raises(ValueError):
-        FGAbelianGroup(free_rank=0, torsion=(1,))
-    with pytest.raises(ValueError):
-        FGAbelianGroup(free_rank=0, torsion=(4, 2))
+    # Keyword, positional, _make and _replace all go through the check.
+    good = FGAbelianGroup(1, (2,))
+    bad = [(-1, (), "free rank"), (0, (1,), ">= 2"), (0, (4, 2), "divisibility chain")]
+    for free_rank, torsion, message in bad:
+        for make in (
+            lambda: FGAbelianGroup(free_rank=free_rank, torsion=torsion),
+            lambda: FGAbelianGroup(free_rank, torsion),
+            lambda: FGAbelianGroup._make((free_rank, torsion)),
+            lambda: good._replace(free_rank=free_rank, torsion=torsion),
+        ):
+            with pytest.raises(ValueError, match=message):
+                make()
+    with pytest.raises(ValueError, match="free rank"):
+        FGAbelianGroup(-1)
 
 
 def test_group_str_and_json():
@@ -415,6 +423,8 @@ def test_group_str_and_json():
     assert str(g) == "Z^2 + Z/2 + Z/6"
     assert to_json(g) == {"free_rank": 2, "torsion": [2, 6]}
     assert str(FGAbelianGroup(0, ())) == "0"
+    assert str(FGAbelianGroup(1)) == "Z" and str(FGAbelianGroup(1, (2,))) == "Z + Z/2"
+    assert str(FGAbelianGroup(0, (3,))) == "Z/3"
     assert FGAbelianGroup(0, ()).is_trivial()
 
 
