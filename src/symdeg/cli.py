@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from . import bounds as bounds_mod
 from . import quadrics
 from .dualvariety import dual_dimension, rank_relation_check
-from .errors import InternalCheckError, check_length
+from .errors import MAX_DIGITS, InternalCheckError, check_length
 from .hessian import (
     HessianForm,
     ambient_rank_certificate,
@@ -43,9 +43,15 @@ from .poly import _EVALUATE_BITS, MultiPoly, parse_poly
 _INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(0|[1-9]\d*)\Z")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\Z")
 # 10^e has more than _EVALUATE_BITS bits exactly when |e| > 1,262,611.
 _MAX_EXPONENT = int(_EVALUATE_BITS / log2(10))
+
+
+def _check_digits(what: str, digits: int) -> None:
+    if digits > MAX_DIGITS:
+        raise ValueError(f"{what} has {digits} digits (limit {MAX_DIGITS})")
 
 
 def _read_inline_or_file(text: str) -> str:
@@ -71,6 +77,7 @@ def infer_variables(text: str) -> list[str]:
                 f"cannot infer variables from {name!r}; pass --vars explicitly"
             )
         prefixes.add(m.group(1))
+        _check_digits(f"the index of variable {name[:8]}...", len(m.group(2)))
         top = max(top, int(m.group(2)))
     if len(prefixes) != 1:
         raise ValueError(
@@ -93,6 +100,9 @@ def _poly_arg(args: argparse.Namespace) -> tuple[MultiPoly, list[str]]:
 
 
 def _coordinate(p: str) -> Fraction | int:
+    if len(p) > MAX_DIGITS:
+        for run in _DIGIT_RUN.findall(p):
+            _check_digits(f"a number in coordinate {p[:8]}...", len(run.replace("_", "")))
     if _PLAIN_INT.fullmatch(p):
         return int(p)
     exponent = _EXPONENT.search(p)
@@ -107,9 +117,11 @@ def _parse_point(text: str) -> list[Fraction | int]:
     Only ``[+-]?[0-9]+`` takes the fast path: ``int`` alone would also
     accept ``1_000`` and non-ASCII digits, which ``Fraction`` may refuse,
     so every string keeps the outcome and value ``Fraction`` gives it.
-    The one exception is a decimal exponent e with 10^|e| beyond the
-    evaluation budget: ``Fraction`` would build that power before any
-    budget could refuse it, so the token is refused first.
+    Two exceptions are refused before either reads the token: a decimal
+    exponent e with 10^|e| beyond the evaluation budget, which
+    ``Fraction`` would build before any budget could refuse it, and a
+    run of more than ``MAX_DIGITS`` digits, which Python 3.11 and later
+    refuse in their own terms and 3.10 reads.
     """
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(not p for p in parts):

@@ -14,6 +14,13 @@ from __future__ import annotations
 MAX_LENGTH = 1 << 16
 
 
+# The most decimal digits one number of the input may have.  Python 3.11
+# and later refuse longer ones in ``int`` with advice about their own
+# settings; 3.10 has no limit.  Checking the same bound on every version
+# keeps the outcome and the message symdeg's own.
+MAX_DIGITS = 4300
+
+
 def check_length(what: str, length: int) -> None:
     """ValueError when a list would be longer than ``MAX_LENGTH``."""
     if length > MAX_LENGTH:

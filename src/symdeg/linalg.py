@@ -7,8 +7,10 @@ exact; ranks and normal forms are certificates, not estimates.
 
 One fraction-free (Bareiss) routine computes every rank and determinant.
 Over Q or Q[x] the whole matrix is first scaled by the lcm D of its
-denominators into Z or Z[x] (in Z[x] a step is a fused cross product and a
-heap division).  The elimination returns its pivot columns and the sign
+denominators into Z or Z[x].  In Z[x] every monomial is packed into one
+int (``poly._packing``) with a degree bound of 2n times the largest entry
+degree, and a step is a fused cross product and a heap division on those
+ints.  The elimination returns its pivot columns and the sign
 of its row swaps: a rank is the number of pivots, and a determinant is
 sign / D^n times the last pivot at full rank, 0 below it.
 The inverse is the adjugate over the determinant.  Only the Smith
@@ -24,11 +26,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError
-from .poly import MultiPoly, _cross, _divide_terms
+from .poly import MultiPoly, _cross, _divide_terms, _packing
 
 RatMatrix = Sequence[Sequence[Fraction]]
 IntMatrix = Sequence[Sequence[int]]
@@ -137,10 +140,12 @@ def _int_step(prev: Optional[int], pivot: int, x: int, factor: int, y: int) -> O
     return num if prev is None else _int_div(num, prev)
 
 
-def _poly_step(prev: Optional[dict], pivot: dict, x: dict, factor: dict, y: dict) -> Optional[dict]:
-    """The Bareiss step on integer term dicts: exact division in Z[x]."""
+def _poly_step(
+    guard: int, prev: Optional[dict], pivot: dict, x: dict, factor: dict, y: dict
+) -> Optional[dict]:
+    """The Bareiss step on packed integer term dicts: exact division in Z[x]."""
     num = _cross(pivot, x, factor, y)
-    return num if prev is None else _divide_terms(prev, num, _int_div)
+    return num if prev is None else _divide_terms(prev, num, _int_div, guard)
 
 
 # -- rank, determinant and inverse over Q ----------------------------------------
@@ -235,21 +240,32 @@ def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], Optional[MultiP
     Column c gets a pivot exactly when it is not a Q(x)-combination of
     the columns before it.  At full rank one ``MultiPoly`` is built, with
     coefficients sign / D^n times those of the last pivot.
+
+    Monomials are packed by ``poly._packing`` with degree bound 2n*delta,
+    delta the largest total degree of an entry.  That bounds every term
+    that can appear: an entry of the working matrix is a minor of size at
+    most n, of degree at most n*delta, so a numerator pivot*x - factor*y
+    is a sum of products of two minors, of degree at most 2n*delta, and
+    its division by the previous pivot stays below it (``_divide_terms``).
+    Only the last pivot is unpacked.
     """
     num_vars = _shared_num_vars(m)
-    work, scale = _int_poly_matrix(m)
-    pivots, sign = _bareiss(work, _poly_step)
+    delta = max((x.total_degree() for row in m for x in row if x), default=0)
+    pack, unpack, guard = _packing(num_vars, 2 * len(m) * delta)
+    work, scale = _int_poly_matrix(m, pack)
+    pivots, sign = _bareiss(work, partial(_poly_step, guard))
     if len(pivots) < len(m):
         return tuple(pivots), None
     factor = Fraction(sign, scale ** len(m))
-    return tuple(pivots), MultiPoly(num_vars, {e: c * factor for e, c in work[-1][-1].items()})
+    det = {unpack(e): c * factor for e, c in work[-1][-1].items()}
+    return tuple(pivots), MultiPoly(num_vars, det)
 
 
-def _int_poly_matrix(m: PolyMatrix) -> tuple[list[list[dict]], int]:
-    """``m`` scaled into Z[x] as integer term dicts, and the lcm D of its denominators."""
+def _int_poly_matrix(m: PolyMatrix, pack: Callable) -> tuple[list[list[dict]], int]:
+    """``m`` scaled into Z[x] as packed integer term dicts, and the lcm D of its denominators."""
     scale = lcm(*(c.denominator for row in m for entry in row for c in entry.terms.values()))
     work = [
-        [{e: c.numerator * (scale // c.denominator) for e, c in x.terms.items()} for x in row]
+        [{pack(e): c.numerator * (scale // c.denominator) for e, c in x.terms.items()} for x in row]
         for row in m
     ]
     return work, scale

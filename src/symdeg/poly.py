@@ -16,10 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, prod
-from operator import add, neg, sub, truediv
+from operator import truediv
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import PolyParseError
+from .errors import MAX_DIGITS, PolyParseError
 
 Exponents = tuple[int, ...]
 
@@ -125,7 +125,10 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_ring(other)
-        return MultiPoly(self.num_vars, _cross(self.terms, other.terms, {}, {}))
+        degree = max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0)
+        pack, unpack, _ = _packing(self.num_vars, degree)
+        product = _cross(_packed(self.terms, pack), _packed(other.terms, pack), {}, {})
+        return MultiPoly(self.num_vars, {unpack(e): k for e, k in product.items()})
 
     __rmul__ = __mul__
 
@@ -220,6 +223,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise PolyParseError(
+                    f"number {text[i:i + 8]}... at position {i} has {j - i} digits"
+                    f" (limit {MAX_DIGITS})"
+                )
             tokens.append(("num", text[i:j], i))
             i = j
             continue
@@ -387,24 +395,74 @@ def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
     """Quotient q with m = q*f, or None when f does not divide m.
 
     Long division by the single divisor f under the graded-lex order,
-    with ``Fraction`` coefficients (see ``_divide_terms``).  Membership
-    in a principal ideal is decided by remainder zero.
+    with ``Fraction`` coefficients (see ``_divide_terms``), on monomials
+    packed for the larger total degree of f and m.  Membership in a
+    principal ideal is decided by remainder zero.
     """
     if f.num_vars != m.num_vars:
         raise ValueError("mixed variable counts")
     if f.is_zero():
         raise ValueError("division by the zero polynomial")
-    quotient = _divide_terms(f.terms, m.terms, truediv)
-    return None if quotient is None else MultiPoly(f.num_vars, quotient)
+    pack, unpack, guard = _packing(f.num_vars, max(map(sum, (*f.terms, *m.terms))))
+    quotient = _divide_terms(_packed(f.terms, pack), _packed(m.terms, pack), truediv, guard)
+    if quotient is None:
+        return None
+    return MultiPoly(f.num_vars, {unpack(e): k for e, k in quotient.items()})
 
 
 # -- term-dict kernel ----------------------------------------------------------
 #
-# Bare ``dict[Exponents, coeff]`` maps with nonzero coefficients of any
-# exact ring (int or Fraction), for inner loops that would otherwise
-# build and re-validate a ``MultiPoly`` per operation.
+# Bare ``dict[int, coeff]`` maps with nonzero coefficients of any exact
+# ring (int or Fraction), for inner loops that would otherwise build and
+# re-validate a ``MultiPoly`` per operation.  Each monomial is packed into
+# one int by ``_packing`` (Monagan and Pearce, CASC 2007), so a product of
+# monomials is an int sum and the graded-lex order is the int order.
+# Callers pack on the way in and unpack on the way out; ``MultiPoly.terms``
+# keeps its exponent tuples.
 
-_Terms = dict[Exponents, Fraction | int]
+_Terms = dict[int, Fraction | int]
+
+
+def _packing(
+    num_vars: int, degree: int
+) -> tuple[Callable[[Exponents], int], Callable[[int], Exponents], int]:
+    """(pack, unpack, guard) for monomials of total degree at most ``degree``.
+
+    A packed monomial is one int of num_vars + 1 fields, each
+    w = degree.bit_length() + 1 bits wide: the total degree on top, then
+    the exponents of x0, ..., x_{n-1}.  ``guard`` has the top bit of each
+    field set; that bit of a packed monomial stays 0.
+
+    Soundness.  Every field of a monomial of total degree at most D is at
+    most D < 2^(w-1), so the sum of two packed monomials whose product has
+    total degree at most D is the packed product: no field carries into
+    the next.  For such r and f, each field of r + guard - f is
+    r_i - f_i + 2^(w-1), which lies in [1, 2^w), so no field borrows
+    either, and its top bit is set exactly when r_i >= f_i: f divides r
+    exactly when (r + guard - f) & guard == guard, and then the quotient
+    is r + guard - f - guard.  Fields compare from the top, total degree
+    first and then x0, x1, ..., so ints compare as ``_grlex_key`` does.
+    The bound D is the caller's to prove for every term that can appear.
+    """
+    width = degree.bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(num_vars - 1, -1, -1)]
+    guard = sum(1 << (width * i + width - 1) for i in range(num_vars + 1))
+
+    def pack(exps: Exponents) -> int:
+        key = sum(exps)
+        for e in exps:
+            key = key << width | e
+        return key
+
+    def unpack(key: int) -> Exponents:
+        return tuple([key >> s & mask for s in shifts])
+
+    return pack, unpack, guard
+
+
+def _packed(terms: Mapping[Exponents, Fraction | int], pack: Callable) -> _Terms:
+    return {pack(e): k for e, k in terms.items()}
 
 
 def _cross(a: _Terms, b: _Terms, c: _Terms, d: _Terms) -> _Terms:
@@ -413,20 +471,24 @@ def _cross(a: _Terms, b: _Terms, c: _Terms, d: _Terms) -> _Terms:
     get = out.get
     for e1, k1 in a.items():
         for e2, k2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = get(e, 0) + k1 * k2
     for e1, k1 in c.items():
         for e2, k2 in d.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = get(e, 0) - k1 * k2
     return {e: k for e, k in out.items() if k}
 
 
-def _divide_terms(f: _Terms, m: _Terms, coeff_div: Callable) -> Optional[_Terms]:
+def _divide_terms(f: _Terms, m: _Terms, coeff_div: Callable, guard: int) -> Optional[_Terms]:
     """Quotient q with m = q*f, or None when f does not divide m.
 
     ``f`` is nonzero; ``coeff_div(a, b)`` returns a / b, or None when the
-    coefficient ring has no such quotient (Z has none for 3 / 2).
+    coefficient ring has no such quotient (Z has none for 3 / 2).  Keys
+    are packed by one ``_packing`` whose ``guard`` is passed, and whose
+    degree bound holds for f and m: every remainder term lies below a
+    term already in it, and every quotient term divides one, so none
+    exceeds the total degree of m and the mask test below is exact.
 
     Long division under the graded-lex order, in place on one remainder
     dict: each step subtracts t*f, t = LT(r)/LT(f), touching only the
@@ -437,33 +499,37 @@ def _divide_terms(f: _Terms, m: _Terms, coeff_div: Callable) -> Optional[_Terms]
     heap and is skipped when popped (lazy deletion).  The t's are exactly
     q's terms, and with one divisor the first leading term that LT(f)
     fails to divide already lands in the remainder (every later t*f lies
-    below it in the order), so either failure ends the division.
+    below it in the order), so either failure ends the division.  Packed
+    ints order as ``_grlex_key``, so leading terms, and with them the
+    early None, are those of the exponent-tuple order.
     """
-    f_exps = max(f, key=_grlex_key)
-    f_coeff = f[f_exps]
-    rest = [(e, k) for e, k in f.items() if e != f_exps]
+    f_key = max(f)
+    f_coeff = f[f_key]
+    rest = [(e, k) for e, k in f.items() if e != f_key]
+    offset = guard - f_key
     remainder = dict(m)
-    heap = [(-sum(e), tuple(map(neg, e)), e) for e in remainder]
+    heap = [-e for e in remainder]
     heapify(heap)
     quotient: _Terms = {}
     while heap:
-        r_exps = heappop(heap)[2]
-        coeff = remainder.pop(r_exps, None)
+        r_key = -heappop(heap)
+        coeff = remainder.pop(r_key, None)
         if coeff is None:  # cancelled after it was pushed
             continue
-        diff = tuple(map(sub, r_exps, f_exps))
-        if min(diff, default=0) < 0:
+        diff = r_key + offset
+        if diff & guard != guard:
             return None
         t = coeff_div(coeff, f_coeff)
         if t is None:
             return None
+        diff -= guard
         quotient[diff] = t
-        for exps, k in rest:
-            key = tuple(map(add, diff, exps))
+        for e, k in rest:
+            key = diff + e
             old = remainder.get(key)
             if old is None:
                 remainder[key] = -t * k
-                heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+                heappush(heap, -key)
             elif c := old - t * k:
                 remainder[key] = c
             else:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdeg import MultiPoly, build_hessian, parse_poly
+from symdeg import MultiPoly, PolyParseError, build_hessian, parse_poly
 from symdeg.cli import _parse_point, infer_variables, main
 
 QUARTIC = "w0^2*w3^2 - 6*w0*w1*w2*w3 + 4*w0*w2^3 + 4*w1^3*w3 - 3*w1^2*w2^2"
@@ -26,21 +27,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*args):
-    """A fresh interpreter on the sources, killed after 60 s: a hang fails the test."""
+def run_python(*args, timeout=60, **environ):
+    """A fresh interpreter on the sources, killed after ``timeout`` s: a hang fails the test."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env=env,
     )
 
 
-def run_subprocess(*argv):
-    return run_python("-m", "symdeg.cli", *argv)
+def run_subprocess(*argv, **options):
+    return run_python("-m", "symdeg.cli", *argv, **options)
 
 
 # -- variable inference ----------------------------------------------------------
@@ -458,6 +459,58 @@ def test_huge_exponents_answer_symbolically(argv, key, expected):
         assert out["witness_rows"] == out["witness_cols"] == [0, 1]
 
 
+@pytest.mark.parametrize("flags", [(), ("--on-hypersurface",)], ids=["ambient", "hypersurface"])
+def test_huge_degree_rank_stays_instant(flags):
+    # The Z[x] elimination packs monomials for the degree bound
+    # 2*2*(10^12 - 3), in fields 43 bits wide; the text answer must not
+    # change, and ten seconds is room for interpreter start-up only.
+    done = run_subprocess("generic-rank", *flags, HUGE_FERMAT, timeout=10)
+    where = "on the hypersurface" if flags else "ambient"
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        f"generic rank {where}: 2",
+        "witness minor rows [0, 1] cols [0, 1]: "
+        "999999999994000000000012999999999988000000000004*x0^999999999997*x1^999999999997",
+    ]
+
+
+ONES = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("rank-at", "x0^2+x1^2", f"1,{ONES}"), "a number in coordinate 11111111..."),
+        (("rank-at", "x0^2+x1^2", f"1,1.{ONES}"), "a number in coordinate 1.111111..."),
+        (("hessian", f"{ONES}*x0^2+x1^2"), "number 11111111... at position 0"),
+        (("hessian", f"x0^{ONES}+x1^2"), "number 11111111... at position 3"),
+        (("hessian", f"x{ONES}^2"), "the index of variable x1111111..."),
+    ],
+    ids=["coordinate", "decimals", "coefficient", "exponent", "variable"],
+)
+@pytest.mark.parametrize("int_limit", ["4300", "0"], ids=["int-limit", "no-int-limit"])
+def test_numbers_past_4300_digits_are_refused_by_symdeg(argv, message, int_limit):
+    # Python 3.11+ refuses such int strings with advice about its own
+    # settings, and 3.10 reads them; with the limit off (as on 3.10) the
+    # outcome must be the same one error line.
+    done = run_subprocess(*argv, PYTHONINTMAXSTRDIGITS=int_limit)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {message} has 5000 digits (limit 4300)\n"
+
+
+def test_digit_limit_is_inclusive():
+    at_limit, past = "7" * 4300, "7" * 4301
+    assert _parse_point(f"1,{at_limit}")[1] == int(at_limit)
+    assert _parse_point(f"1/{at_limit}")[0].denominator == int(at_limit)
+    assert parse_poly(f"{at_limit}*x0^{at_limit}", ["x0"]).terms == {
+        (int(at_limit),): int(at_limit)
+    }
+    with pytest.raises(ValueError, match="has 4301 digits"):
+        _parse_point(f"1,{past}")
+    with pytest.raises(PolyParseError, match="has 4301 digits"):
+        parse_poly(f"x0^{past}", ["x0"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [("rank-at", HUGE_FERMAT, "2,3"), ("stratify", HUGE_FERMAT, "1,1;2,3")],
@@ -578,16 +631,22 @@ def _huge_exponent(token):
         return False
 
 
+def _long_digit_run(token):
+    return any(len(run.replace("_", "")) > 4300 for run in re.findall(r"\d+(?:_\d+)*", token))
+
+
 def _fraction_outcome(text):
     """What ``[Fraction(s) for s in parts]`` makes of a point: its values, or None.
 
-    One deliberate exception: a token ending in a decimal exponent past
-    ``EXPONENT_LIMIT`` is None, where Fraction would first build 10^|e|.
+    Two deliberate exceptions: a token ending in a decimal exponent past
+    ``EXPONENT_LIMIT`` is None, where Fraction would first build 10^|e|,
+    and so is a token with a run of more than 4,300 digits, which Python
+    3.10 would read and later versions refuse.
     """
     from fractions import Fraction
 
     parts = [p.strip() for p in text.split(",")]
-    if any(_huge_exponent(p) for p in parts):
+    if any(_huge_exponent(p) or _long_digit_run(p) for p in parts):
         return None
     try:
         return [Fraction(p) for p in parts]

@@ -25,6 +25,7 @@ from symdeg import (
 )
 from symdeg.cli import to_json
 from symdeg.linalg import _bareiss, _int_step, _poly_step, mat_mul
+from symdeg.poly import _packing
 
 from minors import minor_dets
 
@@ -294,10 +295,11 @@ def test_exact_division_refuses_quotients_outside_the_ring():
     """Integer Bareiss steps return None for an inexact quotient, and _bareiss raises."""
     assert _int_step(2, 1, 3, 0, 0) is None  # 3 / 2
     assert _int_step(2, 1, 3, 1, -1) == 2  # (3 + 1) / 2
-    x0, x0_sq = (1, 0), (2, 0)
-    assert _poly_step({x0: 2}, {x0: 1}, {x0: 1}, {}, {}) is None  # x0^2 / (2*x0)
-    assert _poly_step({x0: 2}, {x0: 2}, {x0: 1}, {}, {}) == {x0: 1}
-    assert _poly_step({x0: 1}, {x0_sq: 1}, {(0, 0): 1}, {}, {}) == {x0: 1}
+    pack, _, guard = _packing(2, 2)
+    one, x0, x0_sq = pack((0, 0)), pack((1, 0)), pack((2, 0))
+    assert _poly_step(guard, {x0: 2}, {x0: 1}, {x0: 1}, {}, {}) is None  # x0^2 / (2*x0)
+    assert _poly_step(guard, {x0: 2}, {x0: 2}, {x0: 1}, {}, {}) == {x0: 1}
+    assert _poly_step(guard, {x0: 1}, {x0_sq: 1}, {one: 1}, {}, {}) == {x0: 1}
     with pytest.raises(InternalCheckError, match="not exact"):
         _bareiss([[1, 2], [3, 4]], lambda *args: None)
 

@@ -1,0 +1,273 @@
+"""The packed-monomial kernel against a tuple-key reference.
+
+Inside ``symdeg.poly``'s term-dict kernel every exponent vector is one
+int (``_packing``).  The reference below keeps exponent tuples and does
+everything the schoolbook way: products by nested loops, division by
+repeated leading-term reduction, determinants by fraction-free
+elimination built from those two.  The edge cases put the largest value
+a field may hold into the total-degree field and into every variable's.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symdeg import MultiPoly, det_poly, divides
+from symdeg import linalg
+from symdeg.linalg import _pivot_columns_poly
+from symdeg.poly import _divide_terms, _packing
+
+HUGE = 999999999999
+
+# -- tuple-key reference -------------------------------------------------------
+
+
+def grlex(exps):
+    return (sum(exps), exps)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, k1 in a.items():
+        for e2, k2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + k1 * k2
+    return {e: k for e, k in out.items() if k}
+
+
+def ref_sub(a, b):
+    out = dict(a)
+    for e, k in b.items():
+        out[e] = out.get(e, 0) - k
+    return {e: k for e, k in out.items() if k}
+
+
+def ref_divide(f, m):
+    """Quotient of m by f over Q, or None: reduce the leading term until none is left."""
+    lead = max(f, key=grlex)
+    remainder, quotient = dict(m), {}
+    while remainder:
+        top = max(remainder, key=grlex)
+        t = tuple(x - y for x, y in zip(top, lead))
+        if min(t, default=0) < 0:
+            return None
+        c = Fraction(remainder[top]) / f[lead]
+        quotient[t] = c
+        for e, k in f.items():
+            key = tuple(x + y for x, y in zip(t, e))
+            value = remainder.get(key, 0) - c * k
+            if value:
+                remainder[key] = value
+            else:
+                remainder.pop(key, None)
+    return quotient
+
+
+def ref_pivots_and_det(m, num_vars):
+    """Pivot columns of a square matrix of term dicts, and its determinant at full rank."""
+    work = [list(row) for row in m]
+    n = len(work)
+    prev = {(0,) * num_vars: 1}
+    pivots, sign = [], 1
+    for c in range(n):
+        r = len(pivots)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if work[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            sign = -sign
+        top = work[r]
+        for row in work[r + 1 :]:
+            for j in range(c + 1, n):
+                num = ref_sub(ref_mul(top[c], row[j]), ref_mul(row[c], top[j]))
+                row[j] = ref_divide(prev, num)
+        prev = top[c]
+        pivots.append(c)
+    if len(pivots) < n:
+        return tuple(pivots), None
+    return tuple(pivots), {e: sign * k for e, k in work[-1][-1].items()}
+
+
+# -- strategies -----------------------------------------------------------------
+
+# Degree bounds at and next to powers of two: a field then holds exactly
+# 2^k - 1, the most its width allows, or 2^k, the first value of a wider one.
+DEGREES = [0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 1023, 1024, HUGE]
+coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+
+
+@st.composite
+def exponents(draw, num_vars, degree):
+    """An exponent vector of total degree at most ``degree``, often exactly it."""
+    if num_vars == 0:
+        return ()
+    total = draw(st.one_of(st.just(degree), st.integers(0, degree)))
+    size = num_vars - 1
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=size, max_size=size)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+def term_dicts(num_vars, degree, max_terms=4, min_terms=0):
+    return st.dictionaries(
+        exponents(num_vars, degree), coeffs, min_size=min_terms, max_size=max_terms
+    )
+
+
+def rings():
+    return st.tuples(st.integers(0, 4), st.sampled_from(DEGREES))
+
+
+# -- the packing itself ------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=300)
+@given(rings(), st.data())
+def test_packing_orders_multiplies_and_divides_like_tuples(ring, data):
+    num_vars, degree = ring
+    pack, unpack, guard = _packing(num_vars, degree)
+    a = data.draw(exponents(num_vars, degree))
+    b = data.draw(exponents(num_vars, degree))
+    assert unpack(pack(a)) == a
+    assert (pack(a) < pack(b)) == (grlex(a) < grlex(b))
+    divisible = all(x >= y for x, y in zip(a, b))
+    assert ((pack(a) + guard - pack(b)) & guard == guard) == divisible
+    if divisible:
+        assert unpack(pack(a) + guard - pack(b) - guard) == tuple(x - y for x, y in zip(a, b))
+    c = data.draw(exponents(num_vars, degree - sum(a)))
+    assert unpack(pack(a) + pack(c)) == tuple(x + y for x, y in zip(a, c))
+
+
+# -- MultiPoly products and divides ------------------------------------------------
+
+
+@settings(deadline=None, max_examples=150)
+@given(rings(), st.data())
+def test_product_matches_tuple_reference(ring, data):
+    num_vars, degree = ring
+    a = data.draw(term_dicts(num_vars, degree))
+    b = data.draw(term_dicts(num_vars, degree))
+    assert (MultiPoly(num_vars, a) * MultiPoly(num_vars, b)).terms == ref_mul(a, b)
+
+
+@settings(deadline=None, max_examples=150)
+@given(rings(), st.data())
+def test_divides_finds_every_exact_quotient(ring, data):
+    num_vars, degree = ring
+    f = data.draw(term_dicts(num_vars, degree, min_terms=1))
+    q = data.draw(term_dicts(num_vars, degree))
+    m = ref_mul(q, f)
+    assert divides(MultiPoly(num_vars, f), MultiPoly(num_vars, m)).terms == q
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 3), st.sampled_from([0, 1, 2, 3, 4, 7, 8]), st.data())
+def test_divides_matches_tuple_reference_on_any_dividend(num_vars, degree, data):
+    # Low degrees only: a dividend that is not a multiple can take about
+    # as many division steps as there are monomials below its leading one.
+    f = data.draw(term_dicts(num_vars, degree, min_terms=1))
+    q = data.draw(term_dicts(num_vars, degree))
+    m = ref_sub(ref_mul(q, f), data.draw(term_dicts(num_vars, degree, max_terms=2)))
+    got = divides(MultiPoly(num_vars, f), MultiPoly(num_vars, m))
+    expected = ref_divide(f, m)
+    assert (None if got is None else got.terms) == expected
+
+
+def _x(i, power, num_vars=3):
+    return tuple(power if k == i else 0 for k in range(num_vars))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 1023, 1024])
+def test_fields_at_their_largest_value(degree):
+    # deg f + deg q = degree, and each of x0, x1, x2 reaches it alone, so the
+    # total-degree field and every variable's field hold the bound itself.
+    hi, lo = (degree + 1) // 2, degree // 2
+    f = {_x(0, hi): 1, _x(1, hi): 2, _x(2, hi): -1, _x(0, 0): 3}
+    q = {_x(0, lo): 1, _x(1, lo): -1, _x(2, lo): Fraction(1, 2), _x(0, 0): -1}
+    f_poly, q_poly = MultiPoly(3, f), MultiPoly(3, q)
+    m = f_poly * q_poly
+    assert m.terms == ref_mul(f, q)
+    assert max(map(max, m.terms)) == degree
+    assert divides(f_poly, m) == q_poly
+    assert divides(q_poly, m) == f_poly
+    near = {**ref_mul(f, q), (1, 0, degree - 1): 5}
+    assert divides(f_poly, MultiPoly(3, near)) is None is ref_divide(f, near)
+
+
+def test_kernel_without_variables():
+    three, half = MultiPoly(0, {(): 3}), MultiPoly(0, {(): Fraction(1, 2)})
+    assert (three * half).terms == {(): Fraction(3, 2)}
+    assert divides(half, three).terms == {(): 6}
+    assert divides(three, MultiPoly.zero(0)).is_zero()
+    assert det_poly([[three, half], [half, three]]) == MultiPoly(0, {(): Fraction(35, 4)})
+    assert _pivot_columns_poly([[MultiPoly.zero(0), three], [MultiPoly.zero(0), half]]) == (
+        (1,),
+        None,
+    )
+
+
+def test_kernel_on_constants():
+    two, x0 = MultiPoly.constant(2, 3), MultiPoly.variable(0, 3)
+    assert divides(two, x0 * 3 + 1).terms == {(1, 0, 0): Fraction(3, 2), (0, 0, 0): Fraction(1, 2)}
+    assert divides(x0, two) is None
+    constants = [[MultiPoly.constant(c, 3) for c in row] for row in [[1, 2], [3, 4]]]
+    assert det_poly(constants) == MultiPoly.constant(-2, 3)
+
+
+def test_kernel_on_huge_exponents():
+    x0, x1 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+    big = x0**HUGE
+    assert (big * big).terms == {(2 * HUGE, 0): 1}
+    assert divides(big + x1, (big + x1) * (big - x1)) == big - x1
+    assert divides(big * x1, big * x0) is None
+    assert det_poly([[big, x1], [x1, big]]) == x0 ** (2 * HUGE) - x1 * x1
+
+
+# -- determinants ---------------------------------------------------------------------
+
+
+@st.composite
+def term_matrices(draw):
+    num_vars = draw(st.integers(0, 3))
+    degree = draw(st.sampled_from([0, 1, 2, 3, 4, 7, 8, 1024]))
+    size = draw(st.integers(1, 4))
+    entries = term_dicts(num_vars, degree, max_terms=2 if size == 4 else 3)
+    rows = [[draw(entries) for _ in range(size)] for _ in range(size)]
+    return num_vars, rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(term_matrices())
+def test_pivots_and_determinant_match_tuple_reference(case):
+    num_vars, rows = case
+    expected_pivots, expected_det = ref_pivots_and_det(rows, num_vars)
+    pivots, det = _pivot_columns_poly([[MultiPoly(num_vars, e) for e in row] for row in rows])
+    assert pivots == expected_pivots
+    assert (None if det is None else det.terms) == expected_det
+
+
+@pytest.mark.parametrize("size", [3, 4])
+@pytest.mark.parametrize("delta", [1, 2, 3, 4, 7, 8])
+def test_bareiss_numerators_reach_twice_the_minor_degree(size, delta, monkeypatch):
+    # Diagonal x_i^delta with units off it: the k-th pivot has degree
+    # k*delta, so the last numerator is a product of two (size-1)-minors,
+    # of degree 2(size-1)*delta, more than size*delta.  The packing must
+    # leave every guard bit of every numerator and divisor clear.
+    def checked(f, m, coeff_div, guard):
+        assert not any(e & guard for e in (*f, *m))
+        return _divide_terms(f, m, coeff_div, guard)
+
+    monkeypatch.setattr(linalg, "_divide_terms", checked)
+    rows = [
+        [{_x(i, delta, size): 1} if i == j else {_x(0, 0, size): 1} for j in range(size)]
+        for i in range(size)
+    ]
+    expected_pivots, expected_det = ref_pivots_and_det(rows, size)
+    pivots, det = _pivot_columns_poly([[MultiPoly(size, e) for e in row] for row in rows])
+    assert pivots == expected_pivots == tuple(range(size))
+    assert det.terms == expected_det
+    assert det.terms[(delta,) * size] == 1
