@@ -99,10 +99,14 @@ def _poly_arg(args: argparse.Namespace) -> tuple[MultiPoly, list[str]]:
     return parse_poly(text, var_names), var_names
 
 
+def _check_digit_runs(what: str, text: str) -> None:
+    if len(text) > MAX_DIGITS:
+        for run in _DIGIT_RUN.findall(text):
+            _check_digits(what, len(run.replace("_", "")))
+
+
 def _coordinate(p: str) -> Fraction | int:
-    if len(p) > MAX_DIGITS:
-        for run in _DIGIT_RUN.findall(p):
-            _check_digits(f"a number in coordinate {p[:8]}...", len(run.replace("_", "")))
+    _check_digit_runs(f"a number in coordinate {p[:8]}...", p)
     if _PLAIN_INT.fullmatch(p):
         return int(p)
     exponent = _EXPONENT.search(p)
@@ -145,8 +149,11 @@ def _parse_points_arg(text: str) -> list[list[Fraction | int]]:
 
 
 def _parse_betti(text: str) -> list[int]:
+    parts = [p.strip() for p in text.split(",")]
+    for p in parts:
+        _check_digit_runs(f"a Betti number {p[:8]}...", p)
     try:
-        return [int(p.strip()) for p in text.split(",")]
+        return [int(p) for p in parts]
     except ValueError:
         raise ValueError(f"malformed Betti vector {text!r}") from None
 
@@ -427,6 +434,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         (parser if top else args.parser).error(
             f"unrecognized arguments: {' '.join(top or extra)}"
         )
+    # Every input number is capped at MAX_DIGITS by symdeg's own checks, so
+    # Python's int-to-str limit (3.11 and later) only stops certified
+    # answers from printing; it is lifted while the handler runs.
+    int_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if int_digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except ValueError as exc:
@@ -435,6 +448,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if int_digits is not None:
+            sys.set_int_max_str_digits(int_digits)
 
 
 if __name__ == "__main__":

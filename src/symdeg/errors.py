@@ -10,7 +10,8 @@ from __future__ import annotations
 
 # The longest list built from one integer of the input: the quad-betti
 # table, the default Betti vector of bounds replay, an inferred variable
-# list and the distinct entries of a Hessian.
+# list and the distinct entries of a Hessian.  Also the most quotient
+# terms of one ``divides`` call.
 MAX_LENGTH = 1 << 16
 
 

@@ -183,8 +183,8 @@ class RankCertificate(NamedTuple):
     The witness is a principal minor: ``witness_rows == witness_cols``
     index a principal submatrix of size ``rank`` whose determinant
     ``witness_minor`` is a nonzero polynomial (ambient case) or not
-    divisible by f (hypersurface case).  The ambient rank is the pivot
-    count of an elimination over Q(x); on the hypersurface the search
+    divisible by f (hypersurface case).  The ambient rank is the number
+    of greedy independent columns over Q(x); on the hypersurface the search
     already verified that no larger principal minor passes the same
     test, which by the principal-minor theorem bounds the rank.
     """
@@ -220,18 +220,18 @@ def _certificate(
 def ambient_rank_certificate(h: HessianForm) -> RankCertificate:
     """Rank of the Hessian H over Q(x), witnessed by a nonzero principal minor.
 
-    One fraction-free elimination of H, scaled into Z[x], gives the rank
-    r as its number of pivots; its pivot columns S are the witness.
-    Soundness.  A column gets a pivot exactly when it is not a Q(x)-
+    ``_pivot_columns_poly`` gives the greedy independent columns S of H
+    over Q(x), by expansion by minors or Bareiss elimination in Z[x]; the
+    rank r is their number, and S is the witness.
+    Soundness.  A column is in S exactly when it is not a Q(x)-
     combination of the columns before it, so the columns S are a basis
     of the column space: H = H[:, S] C for some r x n matrix C.  Taking
     the rows S, H[S, :] = H[S, S] C.  H is symmetric, so H[S, :] is the
     transpose of H[:, S] and has rank r; hence so has H[S, S], and its
     principal minor is a nonzero polynomial.  No minor larger than r is
-    nonzero.  At full rank the witness minor is the last pivot times
-    sign / D^n, with D the lcm of the coefficient denominators and sign
-    that of the row swaps; otherwise it is one r x r determinant.  A
-    zero witness minor raises InternalCheckError.
+    nonzero.  At full rank the witness minor is det H from the same
+    computation; otherwise it is one r x r determinant.  A zero witness
+    minor raises InternalCheckError.
     """
     witness, det = _pivot_columns_poly(h.hessian)
     if det is None:

@@ -5,17 +5,19 @@ Matrices are plain lists of rows.  Three entry kinds appear: Fraction
 and MultiPoly (symbolic matrices such as Hessians).  Everything here is
 exact; ranks and normal forms are certificates, not estimates.
 
-One fraction-free (Bareiss) routine computes every rank and determinant.
-Over Q or Q[x] the whole matrix is first scaled by the lcm D of its
-denominators into Z or Z[x].  In Z[x] every monomial is packed into one
-int (``poly._packing``) with a degree bound of 2n times the largest entry
-degree, and a step is a fused cross product and a heap division on those
-ints.  The elimination returns its pivot columns and the sign
-of its row swaps: a rank is the number of pivots, and a determinant is
-sign / D^n times the last pivot at full rank, 0 below it.
-The inverse is the adjugate over the determinant.  Only the Smith
-normal form, which needs unimodular row and column operations, keeps a
-loop of its own.
+Over Q or Q[x] a matrix is first scaled by the lcm D of its
+denominators into Z or Z[x], and a determinant of the scaled n x n
+matrix is D^n times the one asked for.  Over Z one fraction-free
+(Bareiss) routine computes every rank and determinant: it returns its
+pivot columns and the sign of its row swaps, so a rank is the number of
+pivots, and a determinant is sign / D^n times the last pivot at full
+rank, 0 below it.  Over Z[x], where every monomial is packed into one
+int (``poly._packing``), expansion by minors finds the same pivot
+columns and the determinant with products of an entry and a minor only,
+and no division; Bareiss runs there on constant matrices and past the
+expansion's product budget.  The inverse is the adjugate over the
+determinant.  Only the Smith normal form, which needs unimodular row and
+column operations, keeps a loop of its own.
 
 Determinism matters for golden tests: pivots are always the first
 admissible entry in row order, and minor searches take index sets in
@@ -215,8 +217,9 @@ def inverse_rational(m: RatMatrix) -> list[list[Fraction]]:
 def det_poly(m: PolyMatrix) -> MultiPoly:
     """Determinant of a square polynomial matrix.
 
-    The Z[x] elimination of ``_pivot_columns_poly``; zero when it finds
-    fewer pivots than rows.
+    From ``_pivot_columns_poly``, by expansion by minors or Bareiss
+    elimination over Z[x]; zero when it finds fewer pivot columns than
+    rows.
     """
     rows, cols = matrix_dims(m)
     if rows != cols:
@@ -230,35 +233,97 @@ def det_poly(m: PolyMatrix) -> MultiPoly:
 def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], Optional[MultiPoly]]:
     """Pivot columns of a nonempty square ``m`` over Z[x], and det m at full rank (else None).
 
-    Bareiss elimination in Z[x]: the matrix is scaled once by the lcm D
-    of all coefficient denominators, so its entries are integer term
-    dicts, and det(D*M) = D^n * det M for n x n M.  Every Bareiss
-    intermediate of D*M is a minor of an integer-polynomial matrix
-    (Sylvester's identity, see ``_bareiss``), so each step's quotient
-    lies in Z[x]: long division finds it with integer ``divmod`` on the
-    coefficients, and a nonzero remainder raises InternalCheckError.
-    Column c gets a pivot exactly when it is not a Q(x)-combination of
-    the columns before it.  At full rank one ``MultiPoly`` is built, with
-    coefficients sign / D^n times those of the last pivot.
+    The pivot columns are the greedy independent columns: column c is one
+    exactly when it is not a Q(x)-combination of the columns before it.
+    The matrix is scaled once by the lcm D of all coefficient
+    denominators into integer term dicts, and det(D*M) = D^n * det M for
+    n x n M; only det m is unpacked.
 
-    Monomials are packed by ``poly._packing`` with degree bound 2n*delta,
-    delta the largest total degree of an entry.  That bounds every term
-    that can appear: an entry of the working matrix is a minor of size at
-    most n, of degree at most n*delta, so a numerator pivot*x - factor*y
-    is a sum of products of two minors, of degree at most 2n*delta, and
-    its division by the previous pivot stays below it (``_divide_terms``).
-    Only the last pivot is unpacked.
+    Expansion by minors (``_expand_by_minors``) finds both, with terms of
+    degree at most n*delta (delta the largest entry degree; the packing
+    bound) and no division.  It is exponential in n on dense matrices,
+    so past ``_EXPANSION_PRODUCTS`` term products Bareiss elimination
+    (``_bareiss``) starts over; Bareiss also runs at once when delta is
+    0, where expansion only costs more.  Bareiss finds the same columns,
+    and det(D*M) as its last pivot times the sign of its row swaps.
+    Every intermediate of D*M is a minor of an integer-polynomial matrix
+    (Sylvester's identity), so each step's quotient lies in Z[x]; long
+    division finds it with integer ``divmod``, and a nonzero remainder
+    raises InternalCheckError.  Its packing bound is 2n*delta: a
+    numerator pivot*x - factor*y is a sum of products of two minors of
+    degree at most n*delta, and its division by the previous pivot stays
+    below it (``_divide_terms``).
     """
     num_vars = _shared_num_vars(m)
+    n = len(m)
     delta = max((x.total_degree() for row in m for x in row if x), default=0)
-    pack, unpack, guard = _packing(num_vars, 2 * len(m) * delta)
-    work, scale = _int_poly_matrix(m, pack)
-    pivots, sign = _bareiss(work, partial(_poly_step, guard))
-    if len(pivots) < len(m):
+    found, sign = None, 1
+    if delta:
+        pack, unpack, _ = _packing(num_vars, n * delta)
+        work, scale = _int_poly_matrix(m, pack)
+        found = _expand_by_minors(work)
+    if found is None:
+        pack, unpack, guard = _packing(num_vars, 2 * n * delta)
+        work, scale = _int_poly_matrix(m, pack)
+        pivots, sign = _bareiss(work, partial(_poly_step, guard))
+        found = pivots, work[-1][-1] if len(pivots) == n else None
+    pivots, det = found
+    if det is None:
         return tuple(pivots), None
-    factor = Fraction(sign, scale ** len(m))
-    det = {unpack(e): c * factor for e, c in work[-1][-1].items()}
-    return tuple(pivots), MultiPoly(num_vars, det)
+    factor = Fraction(sign, scale**n)
+    return tuple(pivots), MultiPoly(num_vars, {unpack(e): c * factor for e, c in det.items()})
+
+
+# Term products after which ``_expand_by_minors`` gives up, a second or
+# two of CPython; a count, so the path taken never depends on the machine.
+_EXPANSION_PRODUCTS = 1 << 22
+
+
+def _expand_by_minors(work: list[list[dict]]) -> Optional[tuple[list[int], Optional[dict]]]:
+    """Greedy independent columns of a square matrix of packed integer term
+    dicts, and its determinant when all n are (else None); None past
+    ``_EXPANSION_PRODUCTS`` term products.
+
+    Column by column (Gentleman and Johnson, ACM TOMS 1976): after
+    column c, ``minors`` maps each row set R (a bitmask) to the minor on R
+    and the kept columns, when it is nonzero.  A minor with the new
+    column, the last one, is the Laplace expansion along it: the sum over
+    i in R of (-1)^(rows of R below i) * m[i][c] times the minor on
+    R - {i}.  Zero minors contribute nothing, so none is stored.
+    Soundness.  The kept columns K are independent, so K + {c} is
+    independent exactly when one of its minors is nonzero; otherwise
+    column c is a Q(x)-combination of K and is skipped.  The full row
+    set then holds det m at full rank.  Every term is an entry times a
+    minor of at most n - 1 columns, of degree at most n*delta; no two
+    minors are ever multiplied.
+    """
+    budget = _EXPANSION_PRODUCTS
+    minors: dict[int, dict] = {0: {0: 1}}
+    kept = []
+    for c in range(len(work)):
+        column = [(i, 1 << i, row[c]) for i, row in enumerate(work) if row[c]]
+        grown: dict[int, dict] = {}
+        for mask, minor in minors.items():
+            for i, bit, entry in column:
+                if mask & bit:
+                    continue
+                budget -= len(entry) * len(minor)
+                if budget < 0:
+                    return None
+                out = grown.setdefault(mask | bit, {})
+                get = out.get
+                odd = (mask >> i).bit_count() & 1
+                for e1, k1 in entry.items():
+                    if odd:
+                        k1 = -k1
+                    for e2, k2 in minor.items():
+                        e = e1 + e2
+                        out[e] = get(e, 0) + k1 * k2
+        grown = {r: t for r, out in grown.items() if (t := {e: k for e, k in out.items() if k})}
+        if grown:
+            minors = grown
+            kept.append(c)
+    return kept, minors.get((1 << len(work)) - 1)
 
 
 def _int_poly_matrix(m: PolyMatrix, pack: Callable) -> tuple[list[list[dict]], int]:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, prod
+from math import comb, inf, prod
 from operator import truediv
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import MAX_DIGITS, PolyParseError
+from .errors import MAX_DIGITS, MAX_LENGTH, PolyParseError
 
 Exponents = tuple[int, ...]
 
@@ -397,14 +397,19 @@ def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
     Long division by the single divisor f under the graded-lex order,
     with ``Fraction`` coefficients (see ``_divide_terms``), on monomials
     packed for the larger total degree of f and m.  Membership in a
-    principal ideal is decided by remainder zero.
+    principal ideal is decided by remainder zero.  A division takes one
+    step per quotient term, and one that fails may first take about one
+    per unit of degree, so past ``MAX_LENGTH`` quotient terms ValueError
+    is raised; ordinary quotients stay far below it.
     """
     if f.num_vars != m.num_vars:
         raise ValueError("mixed variable counts")
     if f.is_zero():
         raise ValueError("division by the zero polynomial")
     pack, unpack, guard = _packing(f.num_vars, max(map(sum, (*f.terms, *m.terms))))
-    quotient = _divide_terms(_packed(f.terms, pack), _packed(m.terms, pack), truediv, guard)
+    quotient = _divide_terms(
+        _packed(f.terms, pack), _packed(m.terms, pack), truediv, guard, MAX_LENGTH
+    )
     if quotient is None:
         return None
     return MultiPoly(f.num_vars, {unpack(e): k for e, k in quotient.items()})
@@ -480,7 +485,9 @@ def _cross(a: _Terms, b: _Terms, c: _Terms, d: _Terms) -> _Terms:
     return {e: k for e, k in out.items() if k}
 
 
-def _divide_terms(f: _Terms, m: _Terms, coeff_div: Callable, guard: int) -> Optional[_Terms]:
+def _divide_terms(
+    f: _Terms, m: _Terms, coeff_div: Callable, guard: int, max_terms: float = inf
+) -> Optional[_Terms]:
     """Quotient q with m = q*f, or None when f does not divide m.
 
     ``f`` is nonzero; ``coeff_div(a, b)`` returns a / b, or None when the
@@ -501,7 +508,8 @@ def _divide_terms(f: _Terms, m: _Terms, coeff_div: Callable, guard: int) -> Opti
     fails to divide already lands in the remainder (every later t*f lies
     below it in the order), so either failure ends the division.  Packed
     ints order as ``_grlex_key``, so leading terms, and with them the
-    early None, are those of the exponent-tuple order.
+    early None, are those of the exponent-tuple order.  Past ``max_terms``
+    quotient terms ValueError is raised.
     """
     f_key = max(f)
     f_coeff = f[f_key]
@@ -524,6 +532,8 @@ def _divide_terms(f: _Terms, m: _Terms, coeff_div: Callable, guard: int) -> Opti
             return None
         diff -= guard
         quotient[diff] = t
+        if len(quotient) > max_terms:
+            raise ValueError(f"polynomial division passed its budget of {max_terms} quotient terms")
         for e, k in rest:
             key = diff + e
             old = remainder.get(key)

@@ -1,14 +1,43 @@
-"""All-minors reference search, shared by the tests.
+"""All-minors reference search and both symbolic elimination paths, shared by the tests.
 
 ``minor_dets`` streams every k x k minor, principal or not.  The rank
 certificates in ``symdeg.hessian`` search principal minors only, and the
-tests compare them against this plain search.
+tests compare them against this plain search.  ``both_paths`` runs
+``_pivot_columns_poly`` by expansion by minors and by Bareiss elimination.
 """
 
 from typing import Iterator
 
-from symdeg import MultiPoly, det_poly
-from symdeg.linalg import PolyMatrix, _colex_subsets, _shared_num_vars, matrix_dims
+import pytest
+
+from symdeg import MultiPoly, det_poly, linalg
+from symdeg.linalg import (
+    PolyMatrix, _bareiss, _colex_subsets, _pivot_columns_poly, _shared_num_vars, matrix_dims,
+)
+
+
+def both_paths(m: PolyMatrix) -> tuple[tuple, tuple]:
+    """``_pivot_columns_poly(m)`` by expansion by minors, then by Bareiss.
+
+    A budget of zero term products makes the expansion give up at its
+    first product, so the second run is Bareiss's.  The first must not
+    reach Bareiss unless every entry is constant.
+    """
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _bareiss(*args)
+
+    constant = not any(sum(e) for row in m for x in row for e in x.terms)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_bareiss", counted)
+        expanded = _pivot_columns_poly(m)
+        assert len(calls) == constant
+        patch.setattr(linalg, "_EXPANSION_PRODUCTS", 0)
+        eliminated = _pivot_columns_poly(m)
+        assert len(calls) == constant + 1
+    return expanded, eliminated
 
 
 def minor_dets(

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdeg import MultiPoly, PolyParseError, build_hessian, parse_poly
+from symdeg import (
+    MultiPoly, PolyParseError, ambient_rank_certificate, build_hessian, det_poly, parse_poly,
+)
 from symdeg.cli import _parse_point, infer_variables, main
 
 QUARTIC = "w0^2*w3^2 - 6*w0*w1*w2*w3 + 4*w0*w2^3 + 4*w1^3*w3 - 3*w1^2*w2^2"
@@ -472,6 +474,87 @@ def test_huge_degree_rank_stays_instant(flags):
         "witness minor rows [0, 1] cols [0, 1]: "
         "999999999994000000000012999999999988000000000004*x0^999999999997*x1^999999999997",
     ]
+
+
+DENSE_QUADRIC = " + ".join(
+    f"{(i * j + i + j) % 7 + 1}*x{i}*x{j}" for i in range(20) for j in range(i, 20)
+)
+
+
+def test_constant_hessian_rank_skips_the_expansion(monkeypatch):
+    # A constant matrix goes straight to Bareiss.  Expansion by minors
+    # would visit up to 2^20 row sets here, and give up only at its
+    # product budget, seconds later.
+    from symdeg import linalg
+
+    def refuse(work):
+        raise AssertionError("expansion by minors on a constant matrix")
+
+    monkeypatch.setattr(linalg, "_expand_by_minors", refuse)
+    h = build_hessian(parse_poly(DENSE_QUADRIC, infer_variables(DENSE_QUADRIC)))
+    cert = ambient_rank_certificate(h)
+    assert cert.rank == 20 and cert.witness_rows == tuple(range(20))
+    done = run_subprocess("generic-rank", DENSE_QUADRIC, "--format", "json", timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
+    out = json.loads(done.stdout)
+    assert (out["rank"], out["witness_rows"]) == (20, list(range(20)))
+    assert out["witness_minor"] == cert.witness_minor.format()
+
+
+def test_symmetric_4x4_determinant_rank_by_expansion():
+    # det of the generic symmetric 4x4 matrix, 17 terms in 10 variables:
+    # its 10 x 10 Hessian determinant has 6,671 terms.  Bareiss elimination
+    # takes about 20 times as long as expansion by minors over it.
+    x = [MultiPoly.variable(i, 10) for i in range(10)]
+    rows = [[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]]
+    f = det_poly([[x[k] for k in row] for row in rows]).format()
+    assert len(parse_poly(f, infer_variables(f)).terms) == 17
+    done = run_subprocess("generic-rank", f, "--format", "json", timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
+    out = json.loads(done.stdout)
+    assert out["rank"] == 10
+    assert out["witness_rows"] == out["witness_cols"] == list(range(10))
+    assert len(parse_poly(out["witness_minor"], infer_variables(f)).terms) == 6671
+
+
+def test_a_long_division_stops_at_its_budget():
+    # Long division of a Hessian minor by f would take about a step per
+    # unit of degree, 10^12 of them, before it found that f does not divide.
+    done = run_subprocess(
+        "generic-rank",
+        "--on-hypersurface",
+        "x0^999999999999 + x0^999999999998*x1 + x1^999999999999",
+        timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: polynomial division passed its budget of 65536 quotient terms\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_answers_past_4300_digits_print(fmt, capsys):
+    # The witness minor is -(10^3000 - 1)^2, of 6,000 digits, which Python
+    # 3.11+ would refuse to print; its own limit must come back afterwards.
+    int_digits = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = int_digits()
+    code, out, err = run(capsys, "generic-rank", f"{'9' * 3000}*x0*x1", "--format", fmt)
+    assert (code, err, int_digits()) == (0, "", before)
+    minor = "-" + "9" * 2999 + "8" + "0" * 2999 + "1"
+    if fmt == "json":
+        assert json.loads(out)["witness_minor"] == minor
+    else:
+        assert out.splitlines()[1] == f"witness minor rows [0, 1] cols [0, 1]: {minor}"
+
+
+@pytest.mark.parametrize("int_limit", ["4300", "0"], ids=["int-limit", "no-int-limit"])
+def test_betti_numbers_past_4300_digits_are_refused_by_symdeg(int_limit):
+    done = run_subprocess(
+        "torsion", "--betti", f"1,{'1' * 5000}", "--r", "3", "--d", "0",
+        PYTHONINTMAXSTRDIGITS=int_limit,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: a Betti number 11111111... has 5000 digits (limit 4300)\n"
 
 
 ONES = "1" * 5000

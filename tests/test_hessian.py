@@ -26,7 +26,7 @@ from symdeg import (
     stratify,
 )
 
-from minors import minor_dets
+from minors import both_paths, minor_dets
 
 W = ["w0", "w1", "w2", "w3"]
 X = ["x0", "x1", "x2", "x3"]
@@ -478,6 +478,14 @@ def test_principal_certificates_match_all_minors(f):
             assert cert.witness_minor == det_poly([[h.hessian[i][j] for j in s] for i in s])
         assert not cert.witness_minor.is_zero()
     assert divides(h.f, certs[1].witness_minor) is None
+
+
+@pytest.mark.parametrize("f", differential_inputs(), ids=lambda f: f.format())
+def test_hessian_expansion_matches_bareiss(f):
+    # Every input has degree at least 3, so the first run is the
+    # expansion's; its columns and determinant must be those of Bareiss.
+    expanded, eliminated = both_paths(build_hessian(f).hessian)
+    assert expanded == eliminated
 
 
 def test_quartic_witness_is_first_principal_triple():

@@ -6,8 +6,12 @@ everything the schoolbook way: products by nested loops, division by
 repeated leading-term reduction, determinants by fraction-free
 elimination built from those two.  The edge cases put the largest value
 a field may hold into the total-degree field and into every variable's.
+Symbolic determinants have two paths, expansion by minors and Bareiss
+elimination, and each is checked on its own packing bound and against
+the other.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,7 +21,10 @@ from hypothesis import strategies as st
 from symdeg import MultiPoly, det_poly, divides
 from symdeg import linalg
 from symdeg.linalg import _pivot_columns_poly
+from symdeg.errors import MAX_LENGTH
 from symdeg.poly import _divide_terms, _packing
+
+from minors import both_paths
 
 HUGE = 999999999999
 
@@ -177,6 +184,16 @@ def test_divides_matches_tuple_reference_on_any_dividend(num_vars, degree, data)
     assert (None if got is None else got.terms) == expected
 
 
+def test_divides_stops_past_its_quotient_budget():
+    # (x0^n - x1^n) / (x0 - x1) has n quotient terms, and dividing x0^n
+    # takes n steps before the remainder x1^n shows that it is no multiple.
+    x0, x1 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+    assert len(divides(x0 - x1, x0**MAX_LENGTH - x1**MAX_LENGTH).terms) == MAX_LENGTH
+    assert divides(x0 - x1, x0**MAX_LENGTH) is None
+    with pytest.raises(ValueError, match=f"budget of {MAX_LENGTH} quotient terms"):
+        divides(x0 - x1, x0 ** (MAX_LENGTH + 1))
+
+
 def _x(i, power, num_vars=3):
     return tuple(power if k == i else 0 for k in range(num_vars))
 
@@ -256,12 +273,17 @@ def test_bareiss_numerators_reach_twice_the_minor_degree(size, delta, monkeypatc
     # Diagonal x_i^delta with units off it: the k-th pivot has degree
     # k*delta, so the last numerator is a product of two (size-1)-minors,
     # of degree 2(size-1)*delta, more than size*delta.  The packing must
-    # leave every guard bit of every numerator and divisor clear.
+    # leave every guard bit of every numerator and divisor clear.  A zero
+    # product budget sends the matrix to Bareiss, not to the expansion.
+    divisions = []
+
     def checked(f, m, coeff_div, guard):
         assert not any(e & guard for e in (*f, *m))
+        divisions.append(f)
         return _divide_terms(f, m, coeff_div, guard)
 
     monkeypatch.setattr(linalg, "_divide_terms", checked)
+    monkeypatch.setattr(linalg, "_EXPANSION_PRODUCTS", 0)
     rows = [
         [{_x(i, delta, size): 1} if i == j else {_x(0, 0, size): 1} for j in range(size)]
         for i in range(size)
@@ -271,3 +293,83 @@ def test_bareiss_numerators_reach_twice_the_minor_degree(size, delta, monkeypatc
     assert pivots == expected_pivots == tuple(range(size))
     assert det.terms == expected_det
     assert det.terms[(delta,) * size] == 1
+    assert divisions
+
+
+@pytest.mark.parametrize("size", [3, 4])
+@pytest.mark.parametrize("delta", [1, 2, 3, 4, 7, 8])
+def test_expansion_minors_reach_size_times_delta(size, delta, monkeypatch):
+    # The same matrix by expansion by minors: its determinant has the term
+    # prod x_i^delta, of degree size*delta, the expansion's packing bound.
+    # That bound must leave every guard bit of the entries and of the
+    # determinant clear; with (size-1)*delta, several of these sizes and
+    # degrees would set one (3*3 = 9 in a 4-bit field, say).
+    packings = []
+
+    def recorded(num_vars, degree):
+        packings.append(_packing(num_vars, degree))
+        return packings[-1]
+
+    def checked(work):
+        found = expand(work)
+        guard = packings[-1][2]
+        assert not any(e & guard for row in work for x in row for e in x)
+        assert not any(e & guard for e in found[1])
+        return found
+
+    expand = linalg._expand_by_minors
+    monkeypatch.setattr(linalg, "_packing", recorded)
+    monkeypatch.setattr(linalg, "_expand_by_minors", checked)
+    rows = [
+        [{_x(i, delta, size): 1} if i == j else {_x(0, 0, size): 1} for j in range(size)]
+        for i in range(size)
+    ]
+    pivots, det = _pivot_columns_poly([[MultiPoly(size, e) for e in row] for row in rows])
+    assert len(packings) == 1
+    assert (pivots, det.terms) == ref_pivots_and_det(rows, size)
+    assert det.terms[(delta,) * size] == 1
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of size 1-6 in 0-3 variables, entries of degree up to 10^12.
+
+    Symmetric or not, and full, with a zero column, or of rank below the
+    size: -B*C, or -B*B^T when symmetric, through fewer columns than rows.
+    """
+    num_vars = draw(st.integers(0, 3))
+    degree = draw(st.sampled_from([1, 2, 3, 8, HUGE]))
+    size = draw(st.integers(1, 6))
+    symmetric = draw(st.booleans())
+    shape = draw(st.sampled_from(["full", "zero column", "low rank"]))
+    small = size < 4 and shape != "low rank"
+    entries = term_dicts(num_vars, degree, max_terms=3 if small else 2)
+
+    def block(rows, cols):
+        return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+    if shape == "low rank":
+        inner = draw(st.integers(0, size - 1))
+        b = block(size, inner)
+        c = [list(col) for col in zip(*b)] if symmetric else block(inner, size)
+        rows = [[{} for _ in range(size)] for _ in range(size)]
+        for i, j, k in itertools.product(range(size), range(size), range(inner)):
+            rows[i][j] = ref_sub(rows[i][j], ref_mul(b[i][k], c[k][j]))
+    else:
+        rows = block(size, size)
+        if symmetric:
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+        if shape == "zero column":
+            c = draw(st.integers(0, size - 1))
+            for i in range(size):
+                rows[i][c] = {}
+                if symmetric:
+                    rows[c][i] = {}
+    return [[MultiPoly(num_vars, e) for e in row] for row in rows]
+
+
+@settings(deadline=None, max_examples=100)
+@given(square_matrices())
+def test_expansion_matches_bareiss(m):
+    expanded, eliminated = both_paths(m)
+    assert expanded == eliminated
