@@ -11,7 +11,7 @@ from __future__ import annotations
 # The longest list built from one integer of the input: the quad-betti
 # table, the default Betti vector of bounds replay, an inferred variable
 # list and the distinct entries of a Hessian.  Also the most quotient
-# terms of one ``divides`` call.
+# terms of one division by f in the hypersurface rank search.
 MAX_LENGTH = 1 << 16
 
 

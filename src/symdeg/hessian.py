@@ -9,7 +9,8 @@ denominators), and the rank is one integer Bareiss elimination.
 ``evaluate_hessian`` keeps the rational matrix for callers that need its
 values.  Generic ranks (over the ambient space and over the hypersurface
 f = 0) are certified symbolically by an explicit minor.  The ambient
-rank is one fraction-free elimination of the whole matrix.  The form is
+rank comes from one expansion by minors of the whole matrix, or one
+integer elimination when its entries are constant.  The form is
 symmetric, so both witnesses are principal minors, and the hypersurface
 search tries C(n, k) index sets per size instead of C(n, k)^2.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InternalCheckError, check_length
+from .errors import MAX_LENGTH, InternalCheckError, check_length
 from .linalg import (
     _bareiss, _colex_subsets, _int_step, _pivot_columns_poly, det_poly, inverse_rational, mat_vec,
 )
@@ -221,8 +222,8 @@ def ambient_rank_certificate(h: HessianForm) -> RankCertificate:
     """Rank of the Hessian H over Q(x), witnessed by a nonzero principal minor.
 
     ``_pivot_columns_poly`` gives the greedy independent columns S of H
-    over Q(x), by expansion by minors or Bareiss elimination in Z[x]; the
-    rank r is their number, and S is the witness.
+    over Q(x), by expansion by minors in Z[x] (integer Bareiss when H is
+    constant); the rank r is their number, and S is the witness.
     Soundness.  A column is in S exactly when it is not a Q(x)-
     combination of the columns before it, so the columns S are a basis
     of the column space: H = H[:, S] C for some r x n matrix C.  Taking
@@ -267,6 +268,8 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     sets in colex order; every principal minor of every larger size has
     been checked divisible by the time a witness is returned.  Each set
     is visited once, and the ambient witness minor is reused, not redone.
+    A division by f past ``MAX_LENGTH`` quotient terms raises ValueError:
+    one that fails may take a step per unit of degree first.
 
     Soundness, for squarefree f with prime factors g.  A polynomial is
     not divisible by f exactly when it is not divisible by some g, that
@@ -284,7 +287,7 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     for k in range(ambient.rank, -1, -1):
         for s in _colex_subsets(h.size, k):
             det = ambient.witness_minor if s == ambient.witness_rows else _principal_minor(h, s)
-            if not det.is_zero() and divides(h.f, det) is None:
+            if not det.is_zero() and divides(h.f, det, MAX_LENGTH) is None:
                 return _certificate(s, det, on_hypersurface=True, caveat=caveat)
     # k = 0 always ends the loop: the empty minor is 1 and deg f >= 2.
     raise InternalCheckError("divisibility search fell through the empty minor")

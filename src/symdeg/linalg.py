@@ -14,10 +14,10 @@ pivots, and a determinant is sign / D^n times the last pivot at full
 rank, 0 below it.  Over Z[x], where every monomial is packed into one
 int (``poly._packing``), expansion by minors finds the same pivot
 columns and the determinant with products of an entry and a minor only,
-and no division; Bareiss runs there on constant matrices and past the
-expansion's product budget.  The inverse is the adjugate over the
-determinant.  Only the Smith normal form, which needs unimodular row and
-column operations, keeps a loop of its own.
+and no division; a polynomial matrix whose entries are all constant is
+an integer matrix and goes to Bareiss.  The inverse is the adjugate over
+the determinant.  Only the Smith normal form, which needs unimodular row
+and column operations, keeps a loop of its own.
 
 Determinism matters for golden tests: pivots are always the first
 admissible entry in row order, and minor searches take index sets in
@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError
-from .poly import MultiPoly, _cross, _divide_terms, _packing
+from .poly import MultiPoly, _packing
 
 RatMatrix = Sequence[Sequence[Fraction]]
 IntMatrix = Sequence[Sequence[int]]
@@ -84,11 +83,11 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
 def _bareiss(work: list[list], step: Callable) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) row echelon of ``work``, in place.
 
-    The one elimination loop for every rank and determinant, over any
-    integral domain: ``step(prev, pivot, x, factor, y)`` returns
+    The one elimination loop for every rank and determinant over Z, and
+    for any integral domain: ``step(prev, pivot, x, factor, y)`` returns
     (pivot*x - factor*y) / prev, or None when prev does not divide it
-    (``_int_step`` for Z, ``_poly_step`` for Z[x]); prev is None on the
-    first step, which divides by nothing.  The pivot is the first
+    (``_int_step`` for Z); prev is None on the first step, which divides
+    by nothing.  The pivot is the first
     nonzero entry in row order of the leftmost column that has one.
     Returns the pivot columns and the sign of the row swaps.  Entries
     below a pivot are left as they were; no later step reads them.
@@ -140,14 +139,6 @@ def _int_div(n: int, d: int) -> Optional[int]:
 def _int_step(prev: Optional[int], pivot: int, x: int, factor: int, y: int) -> Optional[int]:
     num = pivot * x - factor * y
     return num if prev is None else _int_div(num, prev)
-
-
-def _poly_step(
-    guard: int, prev: Optional[dict], pivot: dict, x: dict, factor: dict, y: dict
-) -> Optional[dict]:
-    """The Bareiss step on packed integer term dicts: exact division in Z[x]."""
-    num = _cross(pivot, x, factor, y)
-    return num if prev is None else _divide_terms(prev, num, _int_div, guard)
 
 
 # -- rank, determinant and inverse over Q ----------------------------------------
@@ -217,9 +208,8 @@ def inverse_rational(m: RatMatrix) -> list[list[Fraction]]:
 def det_poly(m: PolyMatrix) -> MultiPoly:
     """Determinant of a square polynomial matrix.
 
-    From ``_pivot_columns_poly``, by expansion by minors or Bareiss
-    elimination over Z[x]; zero when it finds fewer pivot columns than
-    rows.
+    From ``_pivot_columns_poly``; zero when it finds fewer pivot columns
+    than rows.
     """
     rows, cols = matrix_dims(m)
     if rows != cols:
@@ -236,53 +226,38 @@ def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], Optional[MultiP
     The pivot columns are the greedy independent columns: column c is one
     exactly when it is not a Q(x)-combination of the columns before it.
     The matrix is scaled once by the lcm D of all coefficient
-    denominators into integer term dicts, and det(D*M) = D^n * det M for
-    n x n M; only det m is unpacked.
+    denominators into Z[x], and det(D*M) = D^n * det M for n x n M.
 
-    Expansion by minors (``_expand_by_minors``) finds both, with terms of
-    degree at most n*delta (delta the largest entry degree; the packing
-    bound) and no division.  It is exponential in n on dense matrices,
-    so past ``_EXPANSION_PRODUCTS`` term products Bareiss elimination
-    (``_bareiss``) starts over; Bareiss also runs at once when delta is
-    0, where expansion only costs more.  Bareiss finds the same columns,
-    and det(D*M) as its last pivot times the sign of its row swaps.
-    Every intermediate of D*M is a minor of an integer-polynomial matrix
-    (Sylvester's identity), so each step's quotient lies in Z[x]; long
-    division finds it with integer ``divmod``, and a nonzero remainder
-    raises InternalCheckError.  Its packing bound is 2n*delta: a
-    numerator pivot*x - factor*y is a sum of products of two minors of
-    degree at most n*delta, and its division by the previous pivot stays
-    below it (``_divide_terms``).
+    Expansion by minors (``_expand_by_minors``) finds both, on packed
+    integer term dicts, with terms of degree at most n*delta (delta the
+    largest entry degree; the packing bound) and no division; only det m
+    is unpacked.  When delta is 0 the scaled matrix is an integer one,
+    and integer Bareiss (``_bareiss``) finds the same columns in
+    polynomial time, where the expansion's 2^n row sets would not finish
+    for a quadric in a few dozen variables.
     """
     num_vars = _shared_num_vars(m)
     n = len(m)
     delta = max((x.total_degree() for row in m for x in row if x), default=0)
-    found, sign = None, 1
-    if delta:
-        pack, unpack, _ = _packing(num_vars, n * delta)
-        work, scale = _int_poly_matrix(m, pack)
-        found = _expand_by_minors(work)
-    if found is None:
-        pack, unpack, guard = _packing(num_vars, 2 * n * delta)
-        work, scale = _int_poly_matrix(m, pack)
-        pivots, sign = _bareiss(work, partial(_poly_step, guard))
-        found = pivots, work[-1][-1] if len(pivots) == n else None
-    pivots, det = found
+    if not delta:
+        work, scale = _int_matrix([[x.terms.get((0,) * num_vars, 0) for x in row] for row in m])
+        pivots, sign = _bareiss(work, _int_step)
+        if len(pivots) < n:
+            return tuple(pivots), None
+        det = Fraction(sign * work[-1][-1], scale**n)
+        return tuple(pivots), MultiPoly.constant(det, num_vars)
+    pack, unpack, _ = _packing(num_vars, n * delta)
+    work, scale = _int_poly_matrix(m, pack)
+    pivots, det = _expand_by_minors(work)
     if det is None:
         return tuple(pivots), None
-    factor = Fraction(sign, scale**n)
+    factor = Fraction(1, scale**n)
     return tuple(pivots), MultiPoly(num_vars, {unpack(e): c * factor for e, c in det.items()})
 
 
-# Term products after which ``_expand_by_minors`` gives up, a second or
-# two of CPython; a count, so the path taken never depends on the machine.
-_EXPANSION_PRODUCTS = 1 << 22
-
-
-def _expand_by_minors(work: list[list[dict]]) -> Optional[tuple[list[int], Optional[dict]]]:
+def _expand_by_minors(work: list[list[dict]]) -> tuple[list[int], Optional[dict]]:
     """Greedy independent columns of a square matrix of packed integer term
-    dicts, and its determinant when all n are (else None); None past
-    ``_EXPANSION_PRODUCTS`` term products.
+    dicts, and its determinant when all n are (else None).
 
     Column by column (Gentleman and Johnson, ACM TOMS 1976): after
     column c, ``minors`` maps each row set R (a bitmask) to the minor on R
@@ -296,8 +271,9 @@ def _expand_by_minors(work: list[list[dict]]) -> Optional[tuple[list[int], Optio
     set then holds det m at full rank.  Every term is an entry times a
     minor of at most n - 1 columns, of degree at most n*delta; no two
     minors are ever multiplied.
+    Cost.  Up to C(n, k) minors are stored after k kept columns, so time
+    and memory grow as 2^n on a dense matrix.
     """
-    budget = _EXPANSION_PRODUCTS
     minors: dict[int, dict] = {0: {0: 1}}
     kept = []
     for c in range(len(work)):
@@ -307,9 +283,6 @@ def _expand_by_minors(work: list[list[dict]]) -> Optional[tuple[list[int], Optio
             for i, bit, entry in column:
                 if mask & bit:
                     continue
-                budget -= len(entry) * len(minor)
-                if budget < 0:
-                    return None
                 out = grown.setdefault(mask | bit, {})
                 get = out.get
                 odd = (mask >> i).bit_count() & 1

@@ -19,7 +19,7 @@ from math import comb, inf, prod
 from operator import truediv
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import MAX_DIGITS, MAX_LENGTH, PolyParseError
+from .errors import MAX_DIGITS, PolyParseError
 
 Exponents = tuple[int, ...]
 
@@ -391,24 +391,35 @@ def homogeneous_degree(p: MultiPoly) -> Optional[int]:
     return None
 
 
-def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
+def divides(f: MultiPoly, m: MultiPoly, max_terms: float = inf) -> Optional[MultiPoly]:
     """Quotient q with m = q*f, or None when f does not divide m.
 
     Long division by the single divisor f under the graded-lex order,
-    with ``Fraction`` coefficients (see ``_divide_terms``), on monomials
-    packed for the larger total degree of f and m.  Membership in a
-    principal ideal is decided by remainder zero.  A division takes one
-    step per quotient term, and one that fails may first take about one
-    per unit of degree, so past ``MAX_LENGTH`` quotient terms ValueError
-    is raised; ordinary quotients stay far below it.
+    with ``Fraction`` coefficients (see ``_divide_terms``).  Membership
+    in a principal ideal is decided by remainder zero.  In a product the
+    degree in each variable adds, and so does the lowest power of it, so
+    every term of q has exponents between floor_i = low_i(m) - low_i(f)
+    and ceiling_i = high_i(m) - high_i(f); a division that needs one
+    outside that box stops with None.  Monomials are packed for the
+    larger total degree of f and m, or the total of ceiling, if larger.
+    A division takes one step per quotient term; past ``max_terms`` of
+    them ValueError is raised.
     """
     if f.num_vars != m.num_vars:
         raise ValueError("mixed variable counts")
     if f.is_zero():
         raise ValueError("division by the zero polynomial")
-    pack, unpack, guard = _packing(f.num_vars, max(map(sum, (*f.terms, *m.terms))))
+    if m.is_zero():
+        return m
+    floor = [max(a - b, 0) for a, b in zip(map(min, zip(*m.terms)), map(min, zip(*f.terms)))]
+    ceiling = [a - b for a, b in zip(map(max, zip(*m.terms)), map(max, zip(*f.terms)))]
+    if any(c < lo for c, lo in zip(ceiling, floor)):
+        return None
+    degree = max(sum(ceiling), *map(sum, (*f.terms, *m.terms)))
+    pack, unpack, guard = _packing(f.num_vars, degree)
+    box = pack(tuple(floor)), pack(tuple(ceiling))
     quotient = _divide_terms(
-        _packed(f.terms, pack), _packed(m.terms, pack), truediv, guard, MAX_LENGTH
+        _packed(f.terms, pack), _packed(m.terms, pack), truediv, guard, box, max_terms
     )
     if quotient is None:
         return None
@@ -486,7 +497,12 @@ def _cross(a: _Terms, b: _Terms, c: _Terms, d: _Terms) -> _Terms:
 
 
 def _divide_terms(
-    f: _Terms, m: _Terms, coeff_div: Callable, guard: int, max_terms: float = inf
+    f: _Terms,
+    m: _Terms,
+    coeff_div: Callable,
+    guard: int,
+    box: Optional[tuple[int, int]] = None,
+    max_terms: float = inf,
 ) -> Optional[_Terms]:
     """Quotient q with m = q*f, or None when f does not divide m.
 
@@ -508,8 +524,11 @@ def _divide_terms(
     fails to divide already lands in the remainder (every later t*f lies
     below it in the order), so either failure ends the division.  Packed
     ints order as ``_grlex_key``, so leading terms, and with them the
-    early None, are those of the exponent-tuple order.  Past ``max_terms``
-    quotient terms ValueError is raised.
+    early None, are those of the exponent-tuple order.  ``box``, packed
+    (floor, ceiling) within the same bound, holds every term of q when f
+    divides m; a quotient term outside it, found by the same mask test,
+    also gives None.  Past ``max_terms`` quotient terms ValueError is
+    raised.
     """
     f_key = max(f)
     f_coeff = f[f_key]
@@ -531,6 +550,8 @@ def _divide_terms(
         if t is None:
             return None
         diff -= guard
+        if box and ((diff + guard - box[0]) & (box[1] + guard - diff) & guard) != guard:
+            return None
         quotient[diff] = t
         if len(quotient) > max_terms:
             raise ValueError(f"polynomial division passed its budget of {max_terms} quotient terms")

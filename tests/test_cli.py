@@ -482,9 +482,8 @@ DENSE_QUADRIC = " + ".join(
 
 
 def test_constant_hessian_rank_skips_the_expansion(monkeypatch):
-    # A constant matrix goes straight to Bareiss.  Expansion by minors
-    # would visit up to 2^20 row sets here, and give up only at its
-    # product budget, seconds later.
+    # A constant matrix goes to integer Bareiss.  Expansion by minors
+    # would visit up to 2^20 row sets here.
     from symdeg import linalg
 
     def refuse(work):
@@ -519,17 +518,33 @@ def test_symmetric_4x4_determinant_rank_by_expansion():
 
 def test_a_long_division_stops_at_its_budget():
     # Long division of a Hessian minor by f would take about a step per
-    # unit of degree, 10^12 of them, before it found that f does not divide.
+    # unit of degree, 10^12 of them, before it found that f does not
+    # divide; every quotient term on the way is one q could have.
     done = run_subprocess(
         "generic-rank",
         "--on-hypersurface",
-        "x0^999999999999 + x0^999999999998*x1 + x1^999999999999",
+        "x0^999999999999 + x0^999999999998*x1 + x0*x1^999999999998 + x1^999999999999",
         timeout=10,
     )
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == (
         "error: polynomial division passed its budget of 65536 quotient terms\n"
     )
+
+
+def test_a_division_outside_the_degree_box_answers_at_once():
+    # The 2 x 2 Hessian minor has x1-degree 999999999998, below that of f,
+    # so f cannot divide it: no step of the long division is needed.
+    done = run_subprocess(
+        "generic-rank",
+        "--on-hypersurface",
+        "x0^999999999999 + x0^999999999998*x1 + x1^999999999999",
+        "--format",
+        "json",
+        timeout=10,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["rank"] == 2
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -26,7 +26,7 @@ from symdeg import (
     stratify,
 )
 
-from minors import both_paths, minor_dets
+from minors import expansion_and_bareiss, minor_dets
 
 W = ["w0", "w1", "w2", "w3"]
 X = ["x0", "x1", "x2", "x3"]
@@ -482,9 +482,9 @@ def test_principal_certificates_match_all_minors(f):
 
 @pytest.mark.parametrize("f", differential_inputs(), ids=lambda f: f.format())
 def test_hessian_expansion_matches_bareiss(f):
-    # Every input has degree at least 3, so the first run is the
-    # expansion's; its columns and determinant must be those of Bareiss.
-    expanded, eliminated = both_paths(build_hessian(f).hessian)
+    # Every input has degree at least 3, so _pivot_columns_poly expands by
+    # minors; its columns and determinant must be those of Bareiss.
+    expanded, eliminated = expansion_and_bareiss(build_hessian(f).hessian)
     assert expanded == eliminated
 
 

@@ -24,7 +24,8 @@ from symdeg.linalg import _pivot_columns_poly
 from symdeg.errors import MAX_LENGTH
 from symdeg.poly import _divide_terms, _packing
 
-from minors import both_paths
+import minors
+from minors import bareiss_pivot_columns, expansion_and_bareiss
 
 HUGE = 999999999999
 
@@ -185,13 +186,30 @@ def test_divides_matches_tuple_reference_on_any_dividend(num_vars, degree, data)
 
 
 def test_divides_stops_past_its_quotient_budget():
-    # (x0^n - x1^n) / (x0 - x1) has n quotient terms, and dividing x0^n
-    # takes n steps before the remainder x1^n shows that it is no multiple.
+    # (x0^n - x1^n) / (x0 - x1) has n quotient terms, and dividing
+    # x0^n + x1^n takes n steps before the remainder 2*x1^n shows that it is
+    # no multiple.  Without a budget the division runs to its end.
     x0, x1 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
-    assert len(divides(x0 - x1, x0**MAX_LENGTH - x1**MAX_LENGTH).terms) == MAX_LENGTH
-    assert divides(x0 - x1, x0**MAX_LENGTH) is None
-    with pytest.raises(ValueError, match=f"budget of {MAX_LENGTH} quotient terms"):
-        divides(x0 - x1, x0 ** (MAX_LENGTH + 1))
+    n = MAX_LENGTH
+    assert len(divides(x0 - x1, x0**n - x1**n, n).terms) == n
+    assert divides(x0 - x1, x0**n + x1**n, n) is None
+    with pytest.raises(ValueError, match=f"budget of {n} quotient terms"):
+        divides(x0 - x1, x0 ** (n + 1) + x1 ** (n + 1), n)
+    assert len(divides(x0 - x1, x0 ** (n + 1) - x1 ** (n + 1)).terms) == n + 1
+
+
+def test_divides_stops_outside_the_degree_box():
+    # Each quotient term has degree in x_i between low_i(m) - low_i(f) and
+    # high_i(m) - high_i(f).  Dividing x0^n by x0 - x1 would take n steps
+    # before the remainder x1^n showed up, but x1 cannot appear in q at
+    # all, so no step is taken; into x0^n + x1^2, q could go with x1 at
+    # most once, so the third step, x0^(n-3)*x1^2, stops inside the budget.
+    x0, x1, x2 = (MultiPoly.variable(i, 3) for i in range(3))
+    assert divides(x0 - x1, x0**HUGE, 1) is None
+    assert divides(x0 - x1, x0**HUGE + x1**2, 2) is None
+    f, q = x0 * x2 + x1**2, x0 * x2**3 - x1**2 * x2**2
+    assert divides(f, f * q) == q
+    assert divides(f, f * q + x1**2 * x2**4) is None
 
 
 def _x(i, power, num_vars=3):
@@ -272,9 +290,9 @@ def test_pivots_and_determinant_match_tuple_reference(case):
 def test_bareiss_numerators_reach_twice_the_minor_degree(size, delta, monkeypatch):
     # Diagonal x_i^delta with units off it: the k-th pivot has degree
     # k*delta, so the last numerator is a product of two (size-1)-minors,
-    # of degree 2(size-1)*delta, more than size*delta.  The packing must
-    # leave every guard bit of every numerator and divisor clear.  A zero
-    # product budget sends the matrix to Bareiss, not to the expansion.
+    # of degree 2(size-1)*delta, more than size*delta.  The packing of
+    # the Bareiss reference must leave every guard bit of every numerator
+    # and divisor clear.
     divisions = []
 
     def checked(f, m, coeff_div, guard):
@@ -282,14 +300,13 @@ def test_bareiss_numerators_reach_twice_the_minor_degree(size, delta, monkeypatc
         divisions.append(f)
         return _divide_terms(f, m, coeff_div, guard)
 
-    monkeypatch.setattr(linalg, "_divide_terms", checked)
-    monkeypatch.setattr(linalg, "_EXPANSION_PRODUCTS", 0)
+    monkeypatch.setattr(minors, "_divide_terms", checked)
     rows = [
         [{_x(i, delta, size): 1} if i == j else {_x(0, 0, size): 1} for j in range(size)]
         for i in range(size)
     ]
     expected_pivots, expected_det = ref_pivots_and_det(rows, size)
-    pivots, det = _pivot_columns_poly([[MultiPoly(size, e) for e in row] for row in rows])
+    pivots, det = bareiss_pivot_columns([[MultiPoly(size, e) for e in row] for row in rows])
     assert pivots == expected_pivots == tuple(range(size))
     assert det.terms == expected_det
     assert det.terms[(delta,) * size] == 1
@@ -371,5 +388,5 @@ def square_matrices(draw):
 @settings(deadline=None, max_examples=100)
 @given(square_matrices())
 def test_expansion_matches_bareiss(m):
-    expanded, eliminated = both_paths(m)
+    expanded, eliminated = expansion_and_bareiss(m)
     assert expanded == eliminated
