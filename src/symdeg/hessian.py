@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import MAX_LENGTH, InternalCheckError, check_length
 from .linalg import (
-    _bareiss, _colex_subsets, _int_step, _pivot_columns_poly, det_poly, inverse_rational, mat_vec,
+    _bareiss, _colex_subsets, _pivot_columns_poly, det_poly, inverse_rational, mat_vec,
 )
 from .poly import (
     _EVALUATE_BITS, MultiPoly, _extra_bits, compose_linear, differentiate, divides, evaluate,
@@ -160,7 +160,7 @@ def _integer_rank(h: HessianForm, plan: list[list[_Term]], coords: Sequence[Frac
                 coeff *= lift[v] ** e
             total += coeff
         values.append(total)
-    return len(_bareiss(_symmetric(h.size, values), _int_step)[0])
+    return len(_bareiss(_symmetric(h.size, values))[0])
 
 
 def rank_at(h: HessianForm, p: Point) -> int:
@@ -230,13 +230,10 @@ def ambient_rank_certificate(h: HessianForm) -> RankCertificate:
     the rows S, H[S, :] = H[S, S] C.  H is symmetric, so H[S, :] is the
     transpose of H[:, S] and has rank r; hence so has H[S, S], and its
     principal minor is a nonzero polynomial.  No minor larger than r is
-    nonzero.  At full rank the witness minor is det H from the same
-    computation; otherwise it is one r x r determinant.  A zero witness
-    minor raises InternalCheckError.
+    nonzero.  The witness minor det H[S, S] comes from the same
+    computation, at every rank; a zero one raises InternalCheckError.
     """
     witness, det = _pivot_columns_poly(h.hessian)
-    if det is None:
-        det = _principal_minor(h, witness)
     if det.is_zero():
         raise InternalCheckError("principal minor on the pivot columns is zero")
     return _certificate(witness, det, on_hypersurface=False)

@@ -13,8 +13,8 @@ pivot columns and the sign of its row swaps, so a rank is the number of
 pivots, and a determinant is sign / D^n times the last pivot at full
 rank, 0 below it.  Over Z[x], where every monomial is packed into one
 int (``poly._packing``), expansion by minors finds the same pivot
-columns and the determinant with products of an entry and a minor only,
-and no division; a polynomial matrix whose entries are all constant is
+columns S and the minor on S x S with products of an entry and a minor
+only, and no division; a polynomial matrix whose entries are all constant is
 an integer matrix and goes to Bareiss.  The inverse is the adjugate over
 the determinant.  Only the Smith normal form, which needs unimodular row
 and column operations, keeps a loop of its own.
@@ -26,10 +26,9 @@ colexicographic order.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError
 from .poly import MultiPoly, _packing
@@ -37,6 +36,7 @@ from .poly import MultiPoly, _packing
 RatMatrix = Sequence[Sequence[Fraction]]
 IntMatrix = Sequence[Sequence[int]]
 PolyMatrix = Sequence[Sequence[MultiPoly]]
+_EXPANSION_TERMS = 1 << 22  # terms in one column of ``_expand_by_minors``
 
 
 def matrix_dims(m: Sequence[Sequence]) -> tuple[int, int]:
@@ -80,30 +80,28 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
 # -- fraction-free elimination -------------------------------------------------
 
 
-def _bareiss(work: list[list], step: Callable) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) row echelon of ``work``, in place.
+def _bareiss(work: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon of the integer matrix ``work``, in place.
 
-    The one elimination loop for every rank and determinant over Z, and
-    for any integral domain: ``step(prev, pivot, x, factor, y)`` returns
-    (pivot*x - factor*y) / prev, or None when prev does not divide it
-    (``_int_step`` for Z); prev is None on the first step, which divides
-    by nothing.  The pivot is the first
-    nonzero entry in row order of the leftmost column that has one.
-    Returns the pivot columns and the sign of the row swaps.  Entries
-    below a pivot are left as they were; no later step reads them.
+    The one elimination loop for every rank and determinant over Z: each
+    step sets x to (pivot*x - factor*y) / prev, prev the previous pivot
+    (1 before the first).  The pivot is the first nonzero entry in row
+    order of the leftmost column that has one.  Returns the pivot columns
+    and the sign of the row swaps.  Entries below a pivot are left as
+    they were; no later step reads them.
 
     Exactness (Bareiss 1968): by Sylvester's identity, once r pivots are
     eliminated every entry of the rows below, right of the pivot columns,
     is the (r+1)-minor on the pivot rows and columns plus its own row and
     column.  The next numerator, a 2x2 combination of such minors, is the
     (r+2)-minor times the previous pivot, so dividing by that pivot is
-    exact, and every intermediate lies in the ring of the entries; an
-    inexact division raises InternalCheckError.  The last pivot of a
-    square matrix of full rank is its determinant times the sign.
+    exact, and every intermediate is an integer; a nonzero remainder
+    raises InternalCheckError.  The last pivot of a square matrix of full
+    rank is its determinant times the sign.
     """
     rows = len(work)
     cols = len(work[0]) if rows else 0
-    prev = None
+    prev = 1
     pivots: list[int] = []
     sign = 1
     for c in range(cols):
@@ -121,24 +119,13 @@ def _bareiss(work: list[list], step: Callable) -> tuple[list[int], int]:
         for row in work[r + 1 :]:
             factor = row[c]
             for j in range(c + 1, cols):
-                num = step(prev, pivot, row[j], factor, top[j])
-                if num is None:
+                q, rem = divmod(pivot * row[j] - factor * top[j], prev)
+                if rem:
                     raise InternalCheckError("Bareiss division was not exact")
-                row[j] = num
+                row[j] = q
         prev = pivot
         pivots.append(c)
     return pivots, sign
-
-
-def _int_div(n: int, d: int) -> Optional[int]:
-    """n / d when d divides n, else None."""
-    q, rem = divmod(n, d)
-    return None if rem else q
-
-
-def _int_step(prev: Optional[int], pivot: int, x: int, factor: int, y: int) -> Optional[int]:
-    num = pivot * x - factor * y
-    return num if prev is None else _int_div(num, prev)
 
 
 # -- rank, determinant and inverse over Q ----------------------------------------
@@ -163,7 +150,7 @@ def rank_rational(m: RatMatrix) -> int:
     """
     matrix_dims(m)
     work, _ = _int_matrix(m)
-    return len(_bareiss(work, _int_step)[0])
+    return len(_bareiss(work)[0])
 
 
 def det_rational(m: RatMatrix) -> Fraction:
@@ -179,7 +166,7 @@ def det_rational(m: RatMatrix) -> Fraction:
     if rows == 0:
         return Fraction(1)
     work, scale = _int_matrix(m)
-    pivots, sign = _bareiss(work, _int_step)
+    pivots, sign = _bareiss(work)
     return Fraction(sign * work[-1][-1], scale**rows) if len(pivots) == rows else Fraction(0)
 
 
@@ -216,48 +203,53 @@ def det_poly(m: PolyMatrix) -> MultiPoly:
         raise ValueError("determinant needs a square matrix")
     if rows == 0:
         return MultiPoly.constant(1, _shared_num_vars(m))
-    det = _pivot_columns_poly(m)[1]
-    return MultiPoly.zero(m[0][0].num_vars) if det is None else det
+    pivots, minor = _pivot_columns_poly(m)
+    return minor if len(pivots) == rows else MultiPoly.zero(minor.num_vars)
 
 
-def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], Optional[MultiPoly]]:
-    """Pivot columns of a nonempty square ``m`` over Z[x], and det m at full rank (else None).
+def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], MultiPoly]:
+    """Pivot columns S of a nonempty square ``m`` over Z[x], and det m[S, S].
 
     The pivot columns are the greedy independent columns: column c is one
     exactly when it is not a Q(x)-combination of the columns before it.
     The matrix is scaled once by the lcm D of all coefficient
-    denominators into Z[x], and det(D*M) = D^n * det M for n x n M.
+    denominators into Z[x], and det(D*M[S, S]) = D^r * det M[S, S], r = |S|.
 
     Expansion by minors (``_expand_by_minors``) finds both, on packed
     integer term dicts, with terms of degree at most n*delta (delta the
-    largest entry degree; the packing bound) and no division; only det m
-    is unpacked.  When delta is 0 the scaled matrix is an integer one,
-    and integer Bareiss (``_bareiss``) finds the same columns in
+    largest entry degree; the packing bound) and no division; only the
+    minor is unpacked.  When delta is 0 the scaled matrix is an integer
+    one, and integer Bareiss (``_bareiss``) finds the same columns in
     polynomial time, where the expansion's 2^n row sets would not finish
-    for a quadric in a few dozen variables.
+    for a quadric in a few dozen variables; below full rank one r x r
+    rational determinant gives the minor.
     """
     num_vars = _shared_num_vars(m)
     n = len(m)
     delta = max((x.total_degree() for row in m for x in row if x), default=0)
     if not delta:
-        work, scale = _int_matrix([[x.terms.get((0,) * num_vars, 0) for x in row] for row in m])
-        pivots, sign = _bareiss(work, _int_step)
-        if len(pivots) < n:
-            return tuple(pivots), None
-        det = Fraction(sign * work[-1][-1], scale**n)
+        consts = [[x.terms.get((0,) * num_vars, 0) for x in row] for row in m]
+        work, scale = _int_matrix(consts)
+        pivots, sign = _bareiss(work)
+        if len(pivots) == n:
+            det = Fraction(sign * work[-1][-1], scale**n)
+        else:
+            det = det_rational([[consts[i][j] for j in pivots] for i in pivots])
         return tuple(pivots), MultiPoly.constant(det, num_vars)
     pack, unpack, _ = _packing(num_vars, n * delta)
-    work, scale = _int_poly_matrix(m, pack)
-    pivots, det = _expand_by_minors(work)
-    if det is None:
-        return tuple(pivots), None
-    factor = Fraction(1, scale**n)
-    return tuple(pivots), MultiPoly(num_vars, {unpack(e): c * factor for e, c in det.items()})
+    scale = lcm(*(c.denominator for row in m for x in row for c in x.terms.values()))
+    work = [
+        [{pack(e): c.numerator * (scale // c.denominator) for e, c in x.terms.items()} for x in row]
+        for row in m
+    ]
+    pivots, minor = _expand_by_minors(work)
+    factor = Fraction(1, scale ** len(pivots))
+    return tuple(pivots), MultiPoly(num_vars, {unpack(e): c * factor for e, c in minor.items()})
 
 
-def _expand_by_minors(work: list[list[dict]]) -> tuple[list[int], Optional[dict]]:
-    """Greedy independent columns of a square matrix of packed integer term
-    dicts, and its determinant when all n are (else None).
+def _expand_by_minors(work: list[list[dict]]) -> tuple[list[int], dict]:
+    """Greedy independent columns K of a square matrix of packed integer
+    term dicts, and its minor on rows and columns K ({} when zero).
 
     Column by column (Gentleman and Johnson, ACM TOMS 1976): after
     column c, ``minors`` maps each row set R (a bitmask) to the minor on R
@@ -267,23 +259,30 @@ def _expand_by_minors(work: list[list[dict]]) -> tuple[list[int], Optional[dict]
     R - {i}.  Zero minors contribute nothing, so none is stored.
     Soundness.  The kept columns K are independent, so K + {c} is
     independent exactly when one of its minors is nonzero; otherwise
-    column c is a Q(x)-combination of K and is skipped.  The full row
-    set then holds det m at full rank.  Every term is an entry times a
-    minor of at most n - 1 columns, of degree at most n*delta; no two
-    minors are ever multiplied.
+    column c is a Q(x)-combination of K and is skipped.  The row set K
+    then holds the minor on K x K, det m at full rank.  Every term is an
+    entry times a minor of at most n - 1 columns, of degree at most
+    n*delta; no two minors are ever multiplied.
     Cost.  Up to C(n, k) minors are stored after k kept columns, so time
-    and memory grow as 2^n on a dense matrix.
+    and memory grow as 2^n on a dense matrix.  Past ``_EXPANSION_TERMS``
+    terms in the column being built, cancelled ones included, counted
+    after each entry-times-minor product, ValueError is raised; with the
+    column before, which passed the same check, at most twice that many
+    terms are held.
     """
+    budget = _EXPANSION_TERMS
     minors: dict[int, dict] = {0: {0: 1}}
     kept = []
     for c in range(len(work)):
         column = [(i, 1 << i, row[c]) for i, row in enumerate(work) if row[c]]
         grown: dict[int, dict] = {}
+        size = 0
         for mask, minor in minors.items():
             for i, bit, entry in column:
                 if mask & bit:
                     continue
                 out = grown.setdefault(mask | bit, {})
+                size -= len(out)
                 get = out.get
                 odd = (mask >> i).bit_count() & 1
                 for e1, k1 in entry.items():
@@ -292,21 +291,14 @@ def _expand_by_minors(work: list[list[dict]]) -> tuple[list[int], Optional[dict]
                     for e2, k2 in minor.items():
                         e = e1 + e2
                         out[e] = get(e, 0) + k1 * k2
+                size += len(out)
+                if size > budget:
+                    raise ValueError(f"expansion by minors passed its budget of {budget} terms")
         grown = {r: t for r, out in grown.items() if (t := {e: k for e, k in out.items() if k})}
         if grown:
             minors = grown
             kept.append(c)
-    return kept, minors.get((1 << len(work)) - 1)
-
-
-def _int_poly_matrix(m: PolyMatrix, pack: Callable) -> tuple[list[list[dict]], int]:
-    """``m`` scaled into Z[x] as packed integer term dicts, and the lcm D of its denominators."""
-    scale = lcm(*(c.denominator for row in m for entry in row for c in entry.terms.values()))
-    work = [
-        [{pack(e): c.numerator * (scale // c.denominator) for e, c in x.terms.items()} for x in row]
-        for row in m
-    ]
-    return work, scale
+    return kept, minors.get(sum(1 << c for c in kept), {})
 
 
 def _shared_num_vars(m: PolyMatrix) -> int:
@@ -316,8 +308,22 @@ def _shared_num_vars(m: PolyMatrix) -> int:
     return counts.pop() if counts else 0
 
 
-def _colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
-    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+def _colex_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The k-subsets of range(n) in colex order (largest element first), one at a time.
+
+    The next set raises by one the lowest element that can rise without
+    meeting the next one (or n), and resets those below it to 0, 1, ....
+    """
+    if not 0 <= k <= n:
+        return
+    s = [*range(k), n]
+    while True:
+        yield tuple(s[:k])
+        i = next((i for i in range(k) if s[i] + 1 < s[i + 1]), None)
+        if i is None:
+            return
+        s[i] += 1
+        s[:i] = range(i)
 
 
 # -- Smith normal form and cokernels ------------------------------------------

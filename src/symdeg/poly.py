@@ -16,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, inf, prod
-from operator import truediv
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MAX_DIGITS, PolyParseError
@@ -127,7 +126,7 @@ class MultiPoly:
         self._check_same_ring(other)
         degree = max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0)
         pack, unpack, _ = _packing(self.num_vars, degree)
-        product = _cross(_packed(self.terms, pack), _packed(other.terms, pack), {}, {})
+        product = _mul(_packed(self.terms, pack), _packed(other.terms, pack))
         return MultiPoly(self.num_vars, {unpack(e): k for e, k in product.items()})
 
     __rmul__ = __mul__
@@ -418,9 +417,7 @@ def divides(f: MultiPoly, m: MultiPoly, max_terms: float = inf) -> Optional[Mult
     degree = max(sum(ceiling), *map(sum, (*f.terms, *m.terms)))
     pack, unpack, guard = _packing(f.num_vars, degree)
     box = pack(tuple(floor)), pack(tuple(ceiling))
-    quotient = _divide_terms(
-        _packed(f.terms, pack), _packed(m.terms, pack), truediv, guard, box, max_terms
-    )
+    quotient = _divide_terms(_packed(f.terms, pack), _packed(m.terms, pack), guard, box, max_terms)
     if quotient is None:
         return None
     return MultiPoly(f.num_vars, {unpack(e): k for e, k in quotient.items()})
@@ -428,9 +425,9 @@ def divides(f: MultiPoly, m: MultiPoly, max_terms: float = inf) -> Optional[Mult
 
 # -- term-dict kernel ----------------------------------------------------------
 #
-# Bare ``dict[int, coeff]`` maps with nonzero coefficients of any exact
-# ring (int or Fraction), for inner loops that would otherwise build and
-# re-validate a ``MultiPoly`` per operation.  Each monomial is packed into
+# Bare ``dict[int, coeff]`` maps with nonzero int or Fraction coefficients,
+# for inner loops that would otherwise build and re-validate a
+# ``MultiPoly`` per operation.  Each monomial is packed into
 # one int by ``_packing`` (Monagan and Pearce, CASC 2007), so a product of
 # monomials is an int sum and the graded-lex order is the int order.
 # Callers pack on the way in and unpack on the way out; ``MultiPoly.terms``
@@ -481,34 +478,25 @@ def _packed(terms: Mapping[Exponents, Fraction | int], pack: Callable) -> _Terms
     return {pack(e): k for e, k in terms.items()}
 
 
-def _cross(a: _Terms, b: _Terms, c: _Terms, d: _Terms) -> _Terms:
-    """a*b - c*d in one pass, dropping cancelled terms."""
+def _mul(a: _Terms, b: _Terms) -> _Terms:
+    """a*b, dropping cancelled terms."""
     out: _Terms = {}
     get = out.get
     for e1, k1 in a.items():
         for e2, k2 in b.items():
             e = e1 + e2
             out[e] = get(e, 0) + k1 * k2
-    for e1, k1 in c.items():
-        for e2, k2 in d.items():
-            e = e1 + e2
-            out[e] = get(e, 0) - k1 * k2
     return {e: k for e, k in out.items() if k}
 
 
 def _divide_terms(
-    f: _Terms,
-    m: _Terms,
-    coeff_div: Callable,
-    guard: int,
-    box: Optional[tuple[int, int]] = None,
-    max_terms: float = inf,
+    f: _Terms, m: _Terms, guard: int, box: tuple[int, int], max_terms: float
 ) -> Optional[_Terms]:
-    """Quotient q with m = q*f, or None when f does not divide m.
+    """Quotient q with m = q*f over Q, or None when f does not divide m.
 
-    ``f`` is nonzero; ``coeff_div(a, b)`` returns a / b, or None when the
-    coefficient ring has no such quotient (Z has none for 3 / 2).  Keys
-    are packed by one ``_packing`` whose ``guard`` is passed, and whose
+    ``f`` is nonzero, and the coefficients are the ``Fraction``s that
+    ``divides`` passes, so every coefficient quotient exists.  Keys are
+    packed by one ``_packing`` whose ``guard`` is passed, and whose
     degree bound holds for f and m: every remainder term lies below a
     term already in it, and every quotient term divides one, so none
     exceeds the total degree of m and the mask test below is exact.
@@ -522,7 +510,7 @@ def _divide_terms(
     heap and is skipped when popped (lazy deletion).  The t's are exactly
     q's terms, and with one divisor the first leading term that LT(f)
     fails to divide already lands in the remainder (every later t*f lies
-    below it in the order), so either failure ends the division.  Packed
+    below it in the order), so that failure ends the division.  Packed
     ints order as ``_grlex_key``, so leading terms, and with them the
     early None, are those of the exponent-tuple order.  ``box``, packed
     (floor, ceiling) within the same bound, holds every term of q when f
@@ -546,11 +534,9 @@ def _divide_terms(
         diff = r_key + offset
         if diff & guard != guard:
             return None
-        t = coeff_div(coeff, f_coeff)
-        if t is None:
-            return None
+        t = coeff / f_coeff
         diff -= guard
-        if box and ((diff + guard - box[0]) & (box[1] + guard - diff) & guard) != guard:
+        if ((diff + guard - box[0]) & (box[1] + guard - diff) & guard) != guard:
             return None
         quotient[diff] = t
         if len(quotient) > max_terms:

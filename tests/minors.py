@@ -3,49 +3,60 @@
 ``minor_dets`` streams every k x k minor, principal or not.  The rank
 certificates in ``symdeg.hessian`` search principal minors only, and the
 tests compare them against this plain search.  ``bareiss_pivot_columns``
-eliminates a polynomial matrix in Z[x], the reference that
-``_pivot_columns_poly``'s expansion by minors is compared against.
+eliminates a polynomial matrix over Q[x] with public ``MultiPoly``
+arithmetic and ``divides``, the reference that ``_pivot_columns_poly``'s
+expansion by minors is compared against; it shares no kernel code with it.
 """
 
-from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 import pytest
 
-from symdeg import MultiPoly, det_poly, linalg
+from symdeg import MultiPoly, det_poly, divides, linalg
 from symdeg.linalg import (
-    PolyMatrix, _bareiss, _colex_subsets, _int_div, _int_poly_matrix, _pivot_columns_poly,
-    _shared_num_vars, matrix_dims,
+    PolyMatrix, _bareiss, _colex_subsets, _pivot_columns_poly, _shared_num_vars, matrix_dims,
 )
-from symdeg.poly import _cross, _divide_terms, _packing
 
 
-def bareiss_pivot_columns(m: PolyMatrix) -> tuple[tuple[int, ...], Optional[MultiPoly]]:
-    """Pivot columns of a nonempty square ``m``, and det m at full rank, by Bareiss in Z[x].
+def bareiss_pivot_columns(m: PolyMatrix) -> tuple[tuple[int, ...], MultiPoly]:
+    """Pivot columns S of a nonempty square ``m``, and det m[S, S], by Bareiss over Q[x].
 
-    The matrix is scaled into packed integer term dicts as in
-    ``_pivot_columns_poly``, with degree bound 2n*delta: every Bareiss
-    intermediate is a minor of degree at most n*delta, and a numerator
-    pivot*x - factor*y is a sum of products of two of them.  Each step
-    divides exactly by the previous pivot (Sylvester's identity), and
-    det m is sign / D^n times the last pivot.
+    The pivot rule is ``_bareiss``'s: the first nonzero entry in row order
+    of the leftmost column that has one.  Each numerator pivot*x -
+    factor*y is divided by the previous pivot, exactly by Sylvester's
+    identity, so ``divides`` must find the quotient.  At full rank det m
+    is the sign of the row swaps times the last pivot; below it the
+    minor on S x S is this reference again on that submatrix (zero when
+    it is singular, 1 when S is empty).
     """
-    num_vars = _shared_num_vars(m)
     n = len(m)
-    delta = max((x.total_degree() for row in m for x in row if x), default=0)
-    pack, unpack, guard = _packing(num_vars, 2 * n * delta)
-    work, scale = _int_poly_matrix(m, pack)
-
-    def step(prev, pivot, x, factor, y):
-        num = _cross(pivot, x, factor, y)
-        return num if prev is None else _divide_terms(prev, num, _int_div, guard)
-
-    pivots, sign = _bareiss(work, step)
-    if len(pivots) < n:
-        return tuple(pivots), None
-    factor = Fraction(sign, scale**n)
-    det = {unpack(e): c * factor for e, c in work[-1][-1].items()}
-    return tuple(pivots), MultiPoly(num_vars, det)
+    num_vars = m[0][0].num_vars
+    work = [list(row) for row in m]
+    prev = MultiPoly.constant(1, num_vars)
+    pivots, sign = [], 1
+    for c in range(n):
+        r = len(pivots)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if work[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            sign = -sign
+        top = work[r]
+        for row in work[r + 1 :]:
+            for j in range(c + 1, n):
+                row[j] = divides(prev, top[c] * row[j] - row[c] * top[j])
+                assert row[j] is not None, "Bareiss division was not exact"
+        prev = top[c]
+        pivots.append(c)
+    if len(pivots) == n:
+        return tuple(pivots), sign * work[-1][-1]
+    if not pivots:
+        return (), MultiPoly.constant(1, num_vars)
+    inner, minor = bareiss_pivot_columns([[m[i][j] for j in pivots] for i in pivots])
+    return tuple(pivots), minor if len(inner) == len(pivots) else MultiPoly.zero(num_vars)
 
 
 def expansion_and_bareiss(m: PolyMatrix) -> tuple[tuple, tuple]:
@@ -64,7 +75,7 @@ def expansion_and_bareiss(m: PolyMatrix) -> tuple[tuple, tuple]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_bareiss", counted)
         expanded = _pivot_columns_poly(m)
-    assert len(calls) == constant
+    assert bool(calls) == constant
     return expanded, bareiss_pivot_columns(m)
 
 
@@ -80,11 +91,10 @@ def minor_dets(
     rows, cols = matrix_dims(m)
     if k < 0 or k > min(rows, cols):
         raise ValueError(f"minor size {k} out of range for {rows}x{cols} matrix")
-    num_vars = _shared_num_vars(m)
     if k == 0:
-        yield (), (), MultiPoly.constant(1, num_vars)
+        yield (), (), MultiPoly.constant(1, _shared_num_vars(m))
         return
-    col_sets = _colex_subsets(cols, k)
+    col_sets = list(_colex_subsets(cols, k))
     for row_set in _colex_subsets(rows, k):
         for col_set in col_sets:
             sub = [[m[i][j] for j in col_set] for i in row_set]

@@ -516,6 +516,42 @@ def test_symmetric_4x4_determinant_rank_by_expansion():
     assert len(parse_poly(out["witness_minor"], infer_variables(f)).terms) == 6671
 
 
+def test_expansion_stops_past_its_term_budget(monkeypatch, capsys):
+    # The largest column of QUARTIC's expansion holds 30 terms; the
+    # budget is inclusive, and one term less stops it with exit 2.
+    from symdeg import linalg
+
+    monkeypatch.setattr(linalg, "_EXPANSION_TERMS", 30)
+    code, out, _ = run(capsys, "generic-rank", QUARTIC)
+    assert (code, out.splitlines()[0]) == (0, "generic rank ambient: 4")
+    monkeypatch.setattr(linalg, "_EXPANSION_TERMS", 29)
+    assert run(capsys, "generic-rank", QUARTIC) == (
+        2,
+        "",
+        "error: expansion by minors passed its budget of 29 terms\n",
+    )
+
+
+FERMAT_28 = " + ".join(f"x{i}^3" for i in range(14)) + " + 0*x27"
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (("generic-rank", "--on-hypersurface"), "generic rank on the hypersurface: 14"),
+        (("dual-dim",), "dual variety dimension: 12"),
+    ],
+    ids=["generic-rank", "dual-dim"],
+)
+def test_hypersurface_search_takes_colex_sets_lazily(argv, first_line):
+    # The Hessian of this 28-variable form has rank 14, and the first of
+    # the C(28, 14) = 40,116,600 principal sets in colex order, {0..13},
+    # is the witness: the search must reach it without listing the rest.
+    done = run_subprocess(*argv, FERMAT_28, timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[0] == first_line
+
+
 def test_a_long_division_stops_at_its_budget():
     # Long division of a Hessian minor by f would take about a step per
     # unit of degree, 10^12 of them, before it found that f does not

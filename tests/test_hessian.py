@@ -524,7 +524,7 @@ def test_ambient_certificate_rejects_zero_witness_minor(monkeypatch):
     from symdeg import hessian
 
     h = build_hessian(parse_poly("x0^2*x1", X[:3]))
-    monkeypatch.setattr(hessian, "det_poly", lambda m: MultiPoly.zero(3))
+    monkeypatch.setattr(hessian, "_pivot_columns_poly", lambda m: ((0, 1), MultiPoly.zero(3)))
     with pytest.raises(InternalCheckError, match="pivot columns"):
         ambient_rank_certificate(h)
 
@@ -534,16 +534,16 @@ def test_ambient_certificate_rejects_zero_witness_minor(monkeypatch):
     [
         (FERMAT, X, (0, 0)),
         (QUARTIC, W, (0, 1)),
-        ("x1^2*x3 + x3^3", X, (1, 5)),
-        ("x0^2*x1", X[:3], (1, 1)),
+        ("x1^2*x3 + x3^3", X, (0, 4)),
+        ("x0^2*x1", X[:3], (0, 0)),
     ],
     ids=["fermat", "quartic", "x1^2*x3 + x3^3", "x0^2*x1"],
 )
 def test_each_principal_determinant_is_computed_at_most_once(monkeypatch, text, names, calls):
-    # (ambient, hypersurface) det_poly calls.  At full rank the ambient
-    # minor comes from the elimination itself; below it, from one
-    # det_poly, and the hypersurface search reuses that minor when it
-    # reaches the witness set: (1, 3) for x1^2*x3 + x3^3, after four others.
+    # (ambient, hypersurface) det_poly calls.  At every rank the ambient
+    # minor comes from the expansion itself, and the hypersurface search
+    # reuses it when it reaches the witness set: (1, 3) for x1^2*x3 + x3^3,
+    # after four others.
     from symdeg import hessian
 
     seen = []

@@ -24,8 +24,7 @@ from symdeg import (
     smith_normal_form,
 )
 from symdeg.cli import to_json
-from symdeg.linalg import _bareiss, _int_div, _int_step, mat_mul
-from symdeg.poly import _divide_terms, _packing
+from symdeg.linalg import _bareiss, mat_mul
 
 from minors import minor_dets
 
@@ -292,16 +291,13 @@ def test_det_poly_of_hessian_matches_sympy_berkowitz(num_vars, num_terms, seed):
 
 
 def test_exact_division_refuses_quotients_outside_the_ring():
-    """Exact divisions in Z and Z[x] return None for an inexact quotient, and _bareiss raises."""
-    assert _int_step(2, 1, 3, 0, 0) is None  # 3 / 2
-    assert _int_step(2, 1, 3, 1, -1) == 2  # (3 + 1) / 2
-    pack, _, guard = _packing(2, 2)
-    x0, x0_sq = pack((1, 0)), pack((2, 0))
-    assert _divide_terms({x0: 2}, {x0_sq: 1}, _int_div, guard) is None  # x0^2 / (2*x0)
-    assert _divide_terms({x0: 2}, {x0_sq: 2}, _int_div, guard) == {x0: 1}
-    assert _divide_terms({x0: 1}, {x0_sq: 1}, _int_div, guard) == {x0: 1}
+    """Every Bareiss step divides exactly by the previous pivot, or _bareiss raises."""
+    work = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+    assert _bareiss(work) == ([0, 1, 2], 1)
+    assert work[2][2] == 4  # (3*3 - 1*1) / 2, the determinant
+    # a non-integer entry makes the first division, by 1, inexact: -1/2 / 1
     with pytest.raises(InternalCheckError, match="not exact"):
-        _bareiss([[1, 2], [3, 4]], lambda *args: None)
+        _bareiss([[Fraction(1, 2), 1], [1, 1]])
 
 
 @pytest.mark.parametrize(

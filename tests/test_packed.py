@@ -6,9 +6,9 @@ everything the schoolbook way: products by nested loops, division by
 repeated leading-term reduction, determinants by fraction-free
 elimination built from those two.  The edge cases put the largest value
 a field may hold into the total-degree field and into every variable's.
-Symbolic determinants have two paths, expansion by minors and Bareiss
-elimination, and each is checked on its own packing bound and against
-the other.
+Symbolic determinants by expansion by minors are checked on their
+packing bound and against Bareiss elimination over Q[x], built from
+public ``MultiPoly`` arithmetic (``minors.bareiss_pivot_columns``).
 """
 
 import itertools
@@ -22,10 +22,9 @@ from symdeg import MultiPoly, det_poly, divides
 from symdeg import linalg
 from symdeg.linalg import _pivot_columns_poly
 from symdeg.errors import MAX_LENGTH
-from symdeg.poly import _divide_terms, _packing
+from symdeg.poly import _packing
 
-import minors
-from minors import bareiss_pivot_columns, expansion_and_bareiss
+from minors import expansion_and_bareiss
 
 HUGE = 999999999999
 
@@ -239,10 +238,9 @@ def test_kernel_without_variables():
     assert divides(half, three).terms == {(): 6}
     assert divides(three, MultiPoly.zero(0)).is_zero()
     assert det_poly([[three, half], [half, three]]) == MultiPoly(0, {(): Fraction(35, 4)})
-    assert _pivot_columns_poly([[MultiPoly.zero(0), three], [MultiPoly.zero(0), half]]) == (
-        (1,),
-        None,
-    )
+    # one pivot column, 1, and the minor on rows and columns {1}
+    zero = MultiPoly.zero(0)
+    assert _pivot_columns_poly([[zero, three], [zero, half]]) == ((1,), half)
 
 
 def test_kernel_on_constants():
@@ -282,35 +280,10 @@ def test_pivots_and_determinant_match_tuple_reference(case):
     expected_pivots, expected_det = ref_pivots_and_det(rows, num_vars)
     pivots, det = _pivot_columns_poly([[MultiPoly(num_vars, e) for e in row] for row in rows])
     assert pivots == expected_pivots
-    assert (None if det is None else det.terms) == expected_det
-
-
-@pytest.mark.parametrize("size", [3, 4])
-@pytest.mark.parametrize("delta", [1, 2, 3, 4, 7, 8])
-def test_bareiss_numerators_reach_twice_the_minor_degree(size, delta, monkeypatch):
-    # Diagonal x_i^delta with units off it: the k-th pivot has degree
-    # k*delta, so the last numerator is a product of two (size-1)-minors,
-    # of degree 2(size-1)*delta, more than size*delta.  The packing of
-    # the Bareiss reference must leave every guard bit of every numerator
-    # and divisor clear.
-    divisions = []
-
-    def checked(f, m, coeff_div, guard):
-        assert not any(e & guard for e in (*f, *m))
-        divisions.append(f)
-        return _divide_terms(f, m, coeff_div, guard)
-
-    monkeypatch.setattr(minors, "_divide_terms", checked)
-    rows = [
-        [{_x(i, delta, size): 1} if i == j else {_x(0, 0, size): 1} for j in range(size)]
-        for i in range(size)
-    ]
-    expected_pivots, expected_det = ref_pivots_and_det(rows, size)
-    pivots, det = bareiss_pivot_columns([[MultiPoly(size, e) for e in row] for row in rows])
-    assert pivots == expected_pivots == tuple(range(size))
-    assert det.terms == expected_det
-    assert det.terms[(delta,) * size] == 1
-    assert divisions
+    if expected_det is None:  # below full rank det is the minor on S x S, S the pivots
+        sub = [[rows[i][j] for j in pivots] for i in pivots]
+        expected_det = ref_pivots_and_det(sub, num_vars)[1] if pivots else {(0,) * num_vars: 1}
+    assert det.terms == (expected_det or {})
 
 
 @pytest.mark.parametrize("size", [3, 4])
