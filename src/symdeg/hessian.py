@@ -22,12 +22,9 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import MAX_LENGTH, InternalCheckError, check_length
-from .linalg import (
-    _bareiss, _colex_subsets, _pivot_columns_poly, det_poly, inverse_rational, mat_vec,
-)
+from .linalg import _bareiss, _colex_subsets, _pivot_columns_poly, det_poly
 from .poly import (
-    _EVALUATE_BITS, MultiPoly, _extra_bits, compose_linear, differentiate, divides, evaluate,
-    homogeneous_degree,
+    _EVALUATE_BITS, MultiPoly, _extra_bits, differentiate, divides, evaluate, homogeneous_degree,
 )
 
 Point = Sequence[Fraction | int]
@@ -278,11 +275,19 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     Minors larger than the ambient rank are zero polynomials.
     Irreducibility of f (one factor g) is the caller's responsibility;
     a cheap screen flags obviously non-reduced input.
+
+    Only sets of indices whose Hessian row is not zero are tried.  A
+    principal set holding a zero row has a zero minor, which the search
+    skips anyway; and colex order on subsets of the live indices keeps
+    their relative order among all subsets, so the first set that passes,
+    and with it the rank, witness and minor, is unchanged.
     """
     ambient = ambient_rank_certificate(h)
     caveat = _reduced_caveat(h.f)
+    live = [i for i, row in enumerate(h.hessian) if any(row)]
     for k in range(ambient.rank, -1, -1):
-        for s in _colex_subsets(h.size, k):
+        for t in _colex_subsets(len(live), k):
+            s = tuple(live[i] for i in t)
             det = ambient.witness_minor if s == ambient.witness_rows else _principal_minor(h, s)
             if not det.is_zero() and divides(h.f, det, MAX_LENGTH) is None:
                 return _certificate(s, det, on_hypersurface=True, caveat=caveat)
@@ -321,60 +326,3 @@ def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:
         coords = _check_point(h, p)
         buckets.setdefault(_integer_rank(h, plan, coords), []).append(tuple(coords))
     return RankStratification(buckets=buckets)
-
-
-# -- equivariance ----------------------------------------------------------------
-
-
-class EquivarianceReport(NamedTuple):
-    """Per-sample results of the transformation identity check."""
-
-    passes: tuple[bool, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.passes)
-
-
-def _form_value(
-    matrix: Sequence[Sequence[Fraction]], v: Sequence[Fraction], w: Sequence[Fraction]
-) -> Fraction:
-    return sum(
-        v[i] * matrix[i][j] * w[j] for i in range(len(matrix)) for j in range(len(matrix))
-    )
-
-
-def equivariance_check(
-    h: HessianForm,
-    g: Sequence[Sequence[Fraction | int]],
-    c_of_g_inv: Fraction | int,
-    samples: Sequence[tuple[Point, Point, Point]],
-) -> EquivarianceReport:
-    """Check the form transforms with the stated multiplier under g.
-
-    Precondition, verified symbolically first: composing f with g must
-    rescale f by exactly ``c_of_g_inv`` (f spans a weight line for g).
-    Then each sample (x, v, w) checks, in exact arithmetic, that the
-    form at g*x applied to (v, w) equals ``c_of_g_inv`` times the form
-    at x applied to (g^{-1}v, g^{-1}w).  With the precondition verified
-    this is an identity, so the report is a consistency tester: any
-    failed sample means a bug, not new mathematics.
-    """
-    c = Fraction(c_of_g_inv)
-    if len(g) != h.size or any(len(row) != h.size for row in g):
-        raise ValueError(f"transformation must be {h.size}x{h.size}")
-    g_rat = [[Fraction(x) for x in row] for row in g]
-    g_inv = inverse_rational(g_rat)  # raises ValueError when singular
-    if compose_linear(h.f, g_rat) != c * h.f:
-        raise ValueError("f composed with g is not c_of_g_inv times f")
-    passes = []
-    for x, v, w in samples:
-        x_c = [Fraction(t) for t in x]
-        v_c = [Fraction(t) for t in v]
-        w_c = [Fraction(t) for t in w]
-        left = _form_value(evaluate_hessian(h, mat_vec(g_rat, x_c)), v_c, w_c)
-        right = c * _form_value(
-            evaluate_hessian(h, x_c), mat_vec(g_inv, v_c), mat_vec(g_inv, w_c)
-        )
-        passes.append(left == right)
-    return EquivarianceReport(passes=tuple(passes))

@@ -15,9 +15,8 @@ rank, 0 below it.  Over Z[x], where every monomial is packed into one
 int (``poly._packing``), expansion by minors finds the same pivot
 columns S and the minor on S x S with products of an entry and a minor
 only, and no division; a polynomial matrix whose entries are all constant is
-an integer matrix and goes to Bareiss.  The inverse is the adjugate over
-the determinant.  Only the Smith normal form, which needs unimodular row
-and column operations, keeps a loop of its own.
+an integer matrix and goes to Bareiss.  Only the Smith normal form, which
+needs unimodular row and column operations, keeps a loop of its own.
 
 Determinism matters for golden tests: pivots are always the first
 admissible entry in row order, and minor searches take index sets in
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InternalCheckError
 from .poly import MultiPoly, _packing
@@ -63,18 +62,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
         [sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb)]
         for i in range(ra)
     ]
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    ra, ca = matrix_dims(a)
-    if len(v) != ca:
-        raise ValueError(f"cannot apply {ra}x{ca} to vector of length {len(v)}")
-    return [sum(a[i][k] * v[k] for k in range(ca)) for i in range(ra)]
-
-
-def transpose(m: Sequence[Sequence]) -> list[list]:
-    rows, cols = matrix_dims(m)
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
 
 
 # -- fraction-free elimination -------------------------------------------------
@@ -128,7 +115,7 @@ def _bareiss(work: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
-# -- rank, determinant and inverse over Q ----------------------------------------
+# -- rank and determinant over Q ------------------------------------------------
 
 
 def _int_matrix(m: RatMatrix) -> tuple[list[list[int]], int]:
@@ -168,25 +155,6 @@ def det_rational(m: RatMatrix) -> Fraction:
     work, scale = _int_matrix(m)
     pivots, sign = _bareiss(work)
     return Fraction(sign * work[-1][-1], scale**rows) if len(pivots) == rows else Fraction(0)
-
-
-def inverse_rational(m: RatMatrix) -> list[list[Fraction]]:
-    """Exact inverse as adjugate over determinant; raises on singular input.
-
-    Entry (i, j) is the (j, i) cofactor divided by det m.
-    """
-    rows, cols = matrix_dims(m)
-    if rows != cols:
-        raise ValueError("inverse needs a square matrix")
-    det = det_rational(m)
-    if det == 0:
-        raise ValueError("matrix is singular")
-
-    def cofactor(i: int, j: int) -> Fraction:
-        minor = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i]
-        return (-1) ** (i + j) * det_rational(minor)
-
-    return [[cofactor(j, i) / det for j in range(rows)] for i in range(rows)]
 
 
 # -- symbolic minors ----------------------------------------------------------
@@ -461,52 +429,3 @@ def cokernel(m: IntMatrix) -> FGAbelianGroup:
         free_rank=rows - len(nonzero),
         torsion=tuple(x for x in nonzero if x >= 2),
     )
-
-
-# -- conformal factor ----------------------------------------------------------
-
-
-class ConformalFactor(NamedTuple):
-    """Multiplier of a conformal map, with component sign in even size."""
-
-    tau: Fraction
-    sign: Optional[int]  # det/tau^n for size 2n; None in odd size
-
-
-def conformal_factor(a: RatMatrix) -> Optional[ConformalFactor]:
-    """Conformal multiplier of a square matrix for the split form.
-
-    The bilinear form pairs basis vector i with basis vector r-1-i, so
-    its Gram matrix J is the anti-diagonal of ones.  When a^T J a equals
-    tau * J for a nonzero scalar tau, the matrix is conformal; we verify
-    (det a)^2 = tau^r and, for even r = 2n, report the connected
-    component through the sign det(a)/tau^n.  Returns None when a is
-    not conformal (including the degenerate tau = 0 case: the group
-    consists of invertible maps).
-    """
-    rows, cols = matrix_dims(a)
-    if rows != cols:
-        raise ValueError("conformal check needs a square matrix")
-    if rows == 0:
-        raise ValueError("conformal check needs a nonempty matrix")
-    r = rows
-    rat = [[Fraction(x) for x in row] for row in a]
-    j = [[Fraction(1 if i + k == r - 1 else 0) for k in range(r)] for i in range(r)]
-    gram = mat_mul(mat_mul(transpose(rat), j), rat)
-    tau = gram[0][r - 1]
-    if tau == 0:
-        return None
-    for i in range(r):
-        for k in range(r):
-            if gram[i][k] != tau * j[i][k]:
-                return None
-    det = det_rational(rat)
-    if det * det != tau**r:
-        raise InternalCheckError("conformal determinant identity failed")
-    if r % 2 == 0:
-        n = r // 2
-        sign_value = det / tau**n
-        if sign_value not in (Fraction(1), Fraction(-1)):
-            raise InternalCheckError("component sign is not a unit")
-        return ConformalFactor(tau=tau, sign=int(sign_value))
-    return ConformalFactor(tau=tau, sign=None)

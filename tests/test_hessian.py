@@ -1,5 +1,6 @@
 """Hessian forms: construction, pointwise rank, certified generic rank, strata."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from symdeg import (
     det_poly,
     differentiate,
     divides,
-    equivariance_check,
     evaluate,
     evaluate_hessian,
     generic_rank_ambient,
@@ -480,6 +480,32 @@ def test_principal_certificates_match_all_minors(f):
     assert divides(h.f, certs[1].witness_minor) is None
 
 
+def unscreened_witness(h):
+    """First colex principal set over all indices, sizes descending, whose
+    minor is nonzero and not divisible by f, with that minor."""
+    for k in range(h.size, -1, -1):
+        for s in sorted(itertools.combinations(range(h.size), k), key=lambda s: s[::-1]):
+            minor = [[h.hessian[i][j] for j in s] for i in s]
+            det = det_poly(minor) if s else MultiPoly.constant(1, h.size)
+            if not det.is_zero() and divides(h.f, det) is None:
+                return s, det
+
+
+ZERO_ROW_INPUTS = [
+    parse_poly("x1^2*x3 + x3^3", X),
+    parse_poly("0*x0 + x4^3 + x5^3 + x6^3 + x7^3", [f"x{i}" for i in range(8)]),
+]
+
+
+@pytest.mark.parametrize(
+    "f", differential_inputs() + ZERO_ROW_INPUTS, ids=lambda f: f.format()
+)
+def test_zero_row_screen_keeps_the_unscreened_witness(f):
+    h = build_hessian(f)
+    cert = hypersurface_rank_certificate(h)
+    assert (cert.witness_rows, cert.witness_minor) == unscreened_witness(h)
+
+
 @pytest.mark.parametrize("f", differential_inputs(), ids=lambda f: f.format())
 def test_hessian_expansion_matches_bareiss(f):
     # Every input has degree at least 3, so _pivot_columns_poly expands by
@@ -534,7 +560,7 @@ def test_ambient_certificate_rejects_zero_witness_minor(monkeypatch):
     [
         (FERMAT, X, (0, 0)),
         (QUARTIC, W, (0, 1)),
-        ("x1^2*x3 + x3^3", X, (0, 4)),
+        ("x1^2*x3 + x3^3", X, (0, 0)),
         ("x0^2*x1", X[:3], (0, 0)),
     ],
     ids=["fermat", "quartic", "x1^2*x3 + x3^3", "x0^2*x1"],
@@ -543,7 +569,7 @@ def test_each_principal_determinant_is_computed_at_most_once(monkeypatch, text, 
     # (ambient, hypersurface) det_poly calls.  At every rank the ambient
     # minor comes from the expansion itself, and the hypersurface search
     # reuses it when it reaches the witness set: (1, 3) for x1^2*x3 + x3^3,
-    # after four others.
+    # the only 2-set that meets neither zero row 0 nor 2.
     from symdeg import hessian
 
     seen = []
@@ -590,63 +616,6 @@ def test_stratify_bucket_key_matches_rank_at():
     for r, pts in strat.buckets.items():
         for p in pts:
             assert rank_at(h, p) == r
-
-
-# -- equivariance ---------------------------------------------------------------
-
-
-def torus_action(t):
-    """Weights t^3, t, t^-1, t^-3 on the four coordinates."""
-    return [
-        [Fraction(t) ** 3, 0, 0, 0],
-        [0, Fraction(t), 0, 0],
-        [0, 0, Fraction(t) ** -1, 0],
-        [0, 0, 0, Fraction(t) ** -3],
-    ]
-
-
-def test_equivariance_torus_weights():
-    h = quartic()
-    import random
-
-    rng = random.Random(42)
-
-    def vec():
-        return [Fraction(rng.randint(-9, 9)) for _ in range(4)]
-
-    samples = [(vec(), vec(), vec()) for _ in range(5)]
-    report = equivariance_check(h, torus_action(2), 1, samples)
-    assert report.all_pass
-    assert len(report.passes) == 5
-
-
-def test_equivariance_identity_trivial():
-    h = quartic()
-    eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    report = equivariance_check(h, eye, 1, [((1, 2, 3, 4), (1, 0, 0, 0), (0, 1, 0, 0))])
-    assert report.all_pass
-
-
-def test_equivariance_scaling_needs_matching_multiplier():
-    h = quartic()
-    doubled = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
-    with pytest.raises(ValueError, match="c_of_g_inv"):
-        equivariance_check(h, doubled, 1, [])
-    report = equivariance_check(h, doubled, 16, [((1, 1, 1, 1), (1, 2, 0, 0), (0, 0, 1, 1))])
-    assert report.all_pass
-
-
-def test_equivariance_rejects_singular():
-    h = quartic()
-    zero = [[0] * 4 for _ in range(4)]
-    with pytest.raises(ValueError):
-        equivariance_check(h, zero, 1, [])
-
-
-def test_equivariance_rejects_wrong_size():
-    h = quartic()
-    with pytest.raises(ValueError, match="4x4"):
-        equivariance_check(h, [[1]], 1, [])
 
 
 def test_internal_check_error_is_runtime_error():

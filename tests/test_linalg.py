@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, minors, Smith form, cokernels, conformal factor."""
+"""Exact linear algebra: rank, minors, Smith form, cokernels."""
 
 import itertools
 import random
@@ -9,16 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdeg import (
-    ConformalFactor,
     FGAbelianGroup,
     InternalCheckError,
     MultiPoly,
     cokernel,
-    conformal_factor,
     det_poly,
     det_rational,
     evaluate,
-    inverse_rational,
     parse_poly,
     rank_rational,
     smith_normal_form,
@@ -152,33 +149,6 @@ def test_det_matches_permutation_oracle(m):
     # rational entries exercise the row scaling; the empty matrix has det 1
     expected = oracle_det_permanent_style([[Fraction(x) for x in row] for row in m]) if m else 1
     assert det_rational(m) == expected
-
-
-def test_inverse_round_trip():
-    m = [[2, 1], [1, 1]]
-    inv = inverse_rational(m)
-    assert mat_mul(m, inv) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-
-
-def test_inverse_singular_raises():
-    with pytest.raises(ValueError):
-        inverse_rational([[1, 2], [2, 4]])
-
-
-# Few small values, so that singular draws are common.
-SMALL_RATIONALS = st.one_of(st.integers(-2, 2), st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
-
-
-@settings(deadline=None)
-@given(square_matrices(SMALL_RATIONALS, 1, 4))
-def test_inverse_is_identity_or_singular(m):
-    n = len(m)
-    if det_rational(m) == 0:
-        with pytest.raises(ValueError, match="singular"):
-            inverse_rational(m)
-        return
-    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    assert mat_mul(m, inverse_rational(m)) == identity
 
 
 # -- polynomial minors -----------------------------------------------------------
@@ -437,68 +407,3 @@ def test_cokernel_free_part():
     # Z^2 <- Z by n -> (2n, 0): cokernel Z + Z/2
     assert cokernel([[2], [0]]) == FGAbelianGroup(1, (2,))
 
-
-# -- conformal factor ---------------------------------------------------------------
-
-
-def test_conformal_scalar_matrix():
-    result = conformal_factor([[2, 0], [0, 2]])
-    assert result == ConformalFactor(tau=Fraction(4), sign=1)
-
-
-def test_conformal_swap_is_other_component():
-    result = conformal_factor([[0, 1], [1, 0]])
-    assert result == ConformalFactor(tau=Fraction(1), sign=-1)
-
-
-def test_conformal_shear_rejected():
-    assert conformal_factor([[1, 1], [0, 1]]) is None
-
-
-def test_conformal_degenerate_rejected():
-    assert conformal_factor([[0, 0], [0, 0]]) is None
-
-
-def test_conformal_non_square_raises():
-    with pytest.raises(ValueError):
-        conformal_factor([[1, 0]])
-
-
-def test_conformal_odd_size_has_no_sign():
-    result = conformal_factor([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
-    assert result == ConformalFactor(tau=Fraction(9), sign=None)
-
-
-def conformal_examples_r2():
-    # diag(a, d) pairs as (e0, e1) -> a*d; anti-diagonal lands in the other component
-    out = []
-    for a in (1, 2, -3, Fraction(1, 2)):
-        for d in (1, -2, Fraction(3, 4)):
-            out.append([[a, 0], [0, d]])
-            out.append([[0, a], [d, 0]])
-    return out
-
-
-@settings(deadline=None)
-@given(
-    st.sampled_from(conformal_examples_r2()),
-    st.sampled_from(conformal_examples_r2()),
-)
-def test_conformal_factor_is_multiplicative(a, b):
-    fa = conformal_factor(a)
-    fb = conformal_factor(b)
-    fab = conformal_factor(mat_mul(a, b))
-    assert fa is not None and fb is not None and fab is not None
-    assert fab.tau == fa.tau * fb.tau
-    assert fab.sign == fa.sign * fb.sign
-
-
-def test_conformal_multiplicative_r4():
-    a = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 6]]
-    b = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 10, 0], [0, 0, 0, 5]]
-    fa = conformal_factor(a)
-    fb = conformal_factor(b)
-    fab = conformal_factor(mat_mul(a, b))
-    assert fa.tau == 6 and fb.tau == 10
-    assert fab.tau == 60
-    assert fab.sign == fa.sign * fb.sign
