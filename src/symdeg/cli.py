@@ -4,8 +4,8 @@ Every command accepts ``--format json`` for a machine-readable report
 with a top-level ``"schema": 1`` field; identical invocations produce
 byte-identical JSON.  JSON encoding lives only in this module: library
 reports are immutable named tuples, and ``to_json`` turns them into JSON
-values.  Exit codes: 0 success, 2 bad input, 3 failed internal
-consistency check.
+values.  Exit codes: 0 success, 1 stdout closed before the report was
+written, 2 bad input, 3 failed internal consistency check.
 
 Polynomials are passed inline or as ``@path``.  Variable names come
 from ``--vars`` or are inferred: indexed names sharing one alphabetic
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import Optional, Sequence
 from . import bounds as bounds_mod
 from . import quadrics
 from .dualvariety import dual_dimension, rank_relation_check
-from .errors import MAX_DIGITS, InternalCheckError, check_length
+from .errors import MAX_DIGITS, InternalCheckError, PolyParseError, check_length
 from .hessian import (
     HessianForm,
     ambient_rank_certificate,
@@ -37,7 +38,7 @@ from .hessian import (
     rank_at,
     stratify,
 )
-from .poly import _EVALUATE_BITS, MultiPoly, parse_poly
+from .poly import _EVALUATE_BITS, MultiPoly, _tokenize, parse_poly
 
 
 _INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(0|[1-9]\d*)\Z")
@@ -94,9 +95,20 @@ def _poly_arg(args: argparse.Namespace) -> tuple[MultiPoly, list[str]]:
         var_names = [v.strip() for v in args.vars.split(",") if v.strip()]
         if not var_names:
             raise ValueError("empty --vars")
+        for name in var_names:
+            if not _is_name(name):
+                raise ValueError(f"--vars entry {name!r} is not a variable name")
     else:
         var_names = infer_variables(text)
     return parse_poly(text, var_names), var_names
+
+
+def _is_name(text: str) -> bool:
+    """Whether the polynomial tokenizer reads ``text`` as exactly one name."""
+    try:
+        return [kind for kind, _, _ in _tokenize(text)] == ["name"]
+    except PolyParseError:
+        return False
 
 
 def _check_digit_runs(what: str, text: str) -> None:
@@ -441,7 +453,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if int_digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``symdeg ... | head``).  As the Python
+        # docs on SIGPIPE advise, point fd 1 at devnull so that the flush
+        # at interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,10 +16,10 @@ from typing import NamedTuple, Sequence
 
 from .errors import InternalCheckError
 from .hessian import (
-    HessianForm,
+    _check_point,
     build_hessian,
     evaluate_hessian,
-    generic_rank_on_hypersurface,
+    hypersurface_rank_certificate,
     rank_at,
 )
 from .linalg import det_rational, rank_rational
@@ -55,11 +55,7 @@ class AdaptedForm(NamedTuple):
 
 
 def _validated_smooth_point(f: MultiPoly, p: Point) -> tuple[list[Fraction], list[Fraction]]:
-    coords = [Fraction(x) for x in p]
-    if len(coords) != f.num_vars:
-        raise ValueError(f"point has {len(coords)} coordinates, expected {f.num_vars}")
-    if all(x == 0 for x in coords):
-        raise ValueError("zero point does not define a projective point")
+    coords = _check_point(f.num_vars, p)
     if evaluate(f, coords) != 0:
         raise ValueError("point does not lie on the hypersurface")
     gradient = [evaluate(differentiate(f, i), coords) for i in range(f.num_vars)]
@@ -296,16 +292,19 @@ def dual_dimension(f: MultiPoly) -> int:
     """Dimension of the dual variety of the hypersurface f = 0.
 
     Equals the certified generic Hessian rank on the hypersurface minus
-    2.  Irreducibility of f is the caller's responsibility; a rank below
-    2 cannot come from a reduced irreducible f and raises ValueError.
+    2 for a reduced irreducible f.  A rank below 2 cannot come from such
+    an f, and the certificate's caveat proves f reducible (x_i*g with
+    deg g >= 2) or not reduced (x_i^2 | f); both raise ValueError.
+    Irreducibility beyond that screen is the caller's responsibility.
     """
     d = homogeneous_degree(f)
     if d is None or d < 3:
         raise ValueError("dual dimension needs homogeneous f of degree >= 3")
-    h: HessianForm = build_hessian(f)
-    r = generic_rank_on_hypersurface(h)
-    if r < 2:
+    cert = hypersurface_rank_certificate(build_hessian(f))
+    if cert.rank < 2:
         raise ValueError(
             "generic rank below 2: input cannot define a reduced irreducible hypersurface"
         )
-    return r - 2
+    if cert.caveat:
+        raise ValueError(cert.caveat)
+    return cert.rank - 2

@@ -69,10 +69,10 @@ def build_hessian(f: MultiPoly) -> HessianForm:
     return HessianForm(f=f, hessian=tuple(rows), degree=d, ambient_dim=n - 1)
 
 
-def _check_point(h: HessianForm, p: Point) -> list[Fraction]:
+def _check_point(n: int, p: Point) -> list[Fraction]:
     coords = [Fraction(c) for c in p]
-    if len(coords) != h.size:
-        raise ValueError(f"point has {len(coords)} coordinates, expected {h.size}")
+    if len(coords) != n:
+        raise ValueError(f"point has {len(coords)} coordinates, expected {n}")
     if all(c == 0 for c in coords):
         raise ValueError("zero point does not define a projective point")
     return coords
@@ -90,7 +90,7 @@ def _symmetric(n: int, upper: list) -> list[list]:
 
 def evaluate_hessian(h: HessianForm, p: Point) -> list[list[Fraction]]:
     """The rational matrix at a nonzero point."""
-    coords = _check_point(h, p)
+    coords = _check_point(h.size, p)
     upper = [evaluate(e, coords) for i, row in enumerate(h.hessian) for e in row[i:]]
     return _symmetric(h.size, upper)
 
@@ -169,7 +169,7 @@ def rank_at(h: HessianForm, p: Point) -> int:
     is the pivot count of an integer Bareiss elimination with every
     division checked exact.  See ``_integer_rank``.
     """
-    return _integer_rank(h, _integer_plan(h), _check_point(h, p))
+    return _integer_rank(h, _integer_plan(h), _check_point(h.size, p))
 
 
 # -- generic rank certificates -------------------------------------------------
@@ -323,6 +323,6 @@ def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:
     plan = _integer_plan(h)
     buckets: dict[int, list[tuple[Fraction, ...]]] = {}
     for p in points:
-        coords = _check_point(h, p)
+        coords = _check_point(h.size, p)
         buckets.setdefault(_integer_rank(h, plan, coords), []).append(tuple(coords))
     return RankStratification(buckets=buckets)

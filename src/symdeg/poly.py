@@ -201,26 +201,20 @@ class MultiPoly:
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN_CHARS = set("+-*/^")
-
-
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Split into (kind, value, position) tokens; kinds: num, name, op."""
+    """Split into (kind, value, position) tokens; kinds: num, name, op.
+
+    A number is a run of decimal digits (``str.isdecimal``, what ``int``
+    reads), a name a letter or ``_`` followed by letters, digits and ``_``.
+    """
     tokens: list[tuple[str, str, int]] = []
-    i = 0
-    n = len(text)
+    i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
+        ch, j = text[i], i + 1
+        if ch in "+-*/^":
             tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        elif ch.isdecimal():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise PolyParseError(
@@ -228,16 +222,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                     f" (limit {MAX_DIGITS})"
                 )
             tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {ch!r} at position {i}")
+        elif not ch.isspace():
+            raise PolyParseError(f"unexpected character {ch!r} at position {i}")
+        i = j
     return tokens
 
 
@@ -256,76 +247,55 @@ def parse_poly(text: str, var_names: Sequence[str]) -> MultiPoly:
     tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial text")
-
-    terms: dict[Exponents, Fraction] = {}
+    tokens.append(("end", "", len(text)))  # so that the lookahead never runs past the list
     pos = 0
 
-    def peek() -> Optional[tuple[str, str, int]]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> tuple[str, str, int]:
+    def take(kind: Optional[str] = None, what: str = "") -> tuple[str, str, int]:
         nonlocal pos
-        tok = peek()
-        if tok is None:
+        tok = tokens[pos]
+        if tok[0] == "end":
             raise PolyParseError(f"unexpected end of input at position {len(text)}")
+        if kind is not None and tok[0] != kind:
+            raise PolyParseError(f"expected {what} at position {tok[2]}")
         pos += 1
         return tok
 
-    def parse_factor() -> tuple[Fraction, Exponents]:
-        kind, value, at = take()
-        if kind == "num":
-            numerator = int(value)
-            nxt = peek()
-            if nxt is not None and nxt[:2] == ("op", "/"):
-                take()
-                dkind, dvalue, dat = take()
-                if dkind != "num":
-                    raise PolyParseError(f"expected denominator at position {dat}")
-                if int(dvalue) == 0:
-                    raise PolyParseError(f"zero denominator at position {dat}")
-                return Fraction(numerator, int(dvalue)), (0,) * num_vars
-            return Fraction(numerator), (0,) * num_vars
-        if kind == "name":
-            if value not in var_index:
-                raise PolyParseError(f"unknown variable {value!r} at position {at}")
-            power = 1
-            nxt = peek()
-            if nxt is not None and nxt[:2] == ("op", "^"):
-                take()
-                pkind, pvalue, pat = take()
-                if pkind != "num":
-                    raise PolyParseError(f"expected exponent at position {pat}")
-                power = int(pvalue)
-            exps = [0] * num_vars
-            exps[var_index[value]] = power
-            return Fraction(1), tuple(exps)
-        raise PolyParseError(f"expected number or variable at position {at}, got {value!r}")
+    def next_is(op: str) -> bool:
+        """Whether the next token is ``op``; it is taken when it is."""
+        nonlocal pos
+        found = tokens[pos][:2] == ("op", op)
+        pos += found
+        return found
 
-    def add_term(sign: str) -> None:
-        coeff, exps = parse_factor()
-        while True:
-            nxt = peek()
-            if nxt is None or nxt[:2] != ("op", "*"):
-                break
-            take()
-            c2, e2 = parse_factor()
-            coeff *= c2
-            exps = tuple(a + b for a, b in zip(exps, e2))
-        terms[exps] = terms.get(exps, 0) + (-coeff if sign == "-" else coeff)
-
-    # optional leading sign, then terms joined by + and -
-    sign = "+"
-    if tokens[0][:2] in (("op", "+"), ("op", "-")):
-        sign = take()[1]
+    terms: dict[Exponents, Fraction] = {}
+    sign = -1 if not next_is("+") and next_is("-") else 1  # an optional leading sign
     while True:
-        add_term(sign)
-        nxt = peek()
-        if nxt is None:
+        coeff, exps = Fraction(sign), [0] * num_vars
+        while True:  # one factor per pass
+            kind, value, at = take()
+            if kind == "num":
+                coeff *= int(value)
+                if next_is("/"):
+                    _, den, at = take("num", "denominator")
+                    if int(den) == 0:
+                        raise PolyParseError(f"zero denominator at position {at}")
+                    coeff /= int(den)
+            elif kind == "name":
+                if value not in var_index:
+                    raise PolyParseError(f"unknown variable {value!r} at position {at}")
+                exps[var_index[value]] += int(take("num", "exponent")[1]) if next_is("^") else 1
+            else:
+                raise PolyParseError(f"expected number or variable at position {at}, got {value!r}")
+            if not next_is("*"):
+                break
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
+        kind, value, at = tokens[pos]
+        if kind == "end":
             return MultiPoly(num_vars, terms)
-        kind, sign, at = nxt
-        if kind != "op" or sign not in "+-":
-            raise PolyParseError(f"expected '+' or '-' at position {at}, got {sign!r}")
-        take()
+        if not (next_is("+") or next_is("-")):
+            raise PolyParseError(f"expected '+' or '-' at position {at}, got {value!r}")
+        sign = 1 if value == "+" else -1
 
 
 # -- calculus and structure --------------------------------------------------

@@ -29,16 +29,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def source_env(**environ):
+    """The environment with ``environ`` added and the sources first on PYTHONPATH."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def run_python(*args, timeout=60, **environ):
     """A fresh interpreter on the sources, killed after ``timeout`` s: a hang fails the test."""
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=source_env(**environ),
     )
 
 
@@ -362,6 +366,56 @@ def test_exit_two_on_empty_vars(capsys, names):
     code, out, err = run(capsys, "hessian", "x0^2", "--vars", names)
     assert (code, out) == (2, "")
     assert err == "error: empty --vars\n"
+
+
+@pytest.mark.parametrize(
+    "names, entry", [("x0,+", "+"), ("x0,1a", "1a"), (" x 1 ", "x 1"), ("x0,x$", "x$")]
+)
+def test_exit_two_on_vars_the_parser_cannot_read(capsys, names, entry):
+    # Such a name could never occur in the polynomial: it would stand for
+    # a phantom variable.
+    code, out, err = run(capsys, "hessian", "x0^2", "--vars", names)
+    assert (code, out) == (2, "")
+    assert err == f"error: --vars entry {entry!r} is not a variable name\n"
+
+
+def test_exit_two_on_a_digit_that_is_not_decimal(capsys):
+    # str.isdigit accepts "²", int does not; the reader takes decimal runs only.
+    code, out, err = run(capsys, "hessian", "x0^²")
+    assert (code, out, err) == (2, "", "error: unexpected character '²' at position 3\n")
+
+
+@pytest.mark.parametrize(
+    "f, caveat",
+    [
+        ("x0*x1*x2", "f is divisible by a variable: the hypersurface is reducible"),
+        ("x0^2*x1", "f is divisible by the square of a variable: the hypersurface is not reduced"),
+    ],
+)
+def test_dual_dim_refuses_what_the_screen_proves_reducible(capsys, f, caveat):
+    # Both ranks are 2, which would read as dimension 0; r - 2 needs a
+    # reduced irreducible f, and generic-rank prints the same caveat.
+    assert run(capsys, "dual-dim", f) == (2, "", f"error: {caveat}\n")
+    code, out, _ = run(capsys, "generic-rank", "--on-hypersurface", f)
+    assert (code, out.splitlines()[0], out.splitlines()[-1]) == (
+        0, "generic rank on the hypersurface: 2", f"caveat: {caveat}",
+    )
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # About 420 KB of JSON: the write is still blocked on the full 64 KiB
+    # pipe when the reader closes it, as ``symdeg ... | head`` does.
+    with subprocess.Popen(
+        [sys.executable, "-m", "symdeg.cli", "quad-betti", "60000", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=source_env(),
+    ) as proc:
+        assert proc.stdout.read(12) == b'{\n  "command'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symdeg import (
@@ -18,6 +18,8 @@ from symdeg import (
     homogeneous_degree,
     parse_poly,
 )
+
+from parse_reference import parse_poly as reference_parse_poly
 
 QUARTIC = "w0^2*w3^2 - 6*w0*w1*w2*w3 + 4*w0*w2^3 + 4*w1^3*w3 - 3*w1^2*w2^2"
 W = ["w0", "w1", "w2", "w3"]
@@ -152,6 +154,75 @@ def test_parse_rejects_trailing_garbage():
 def test_parse_empty():
     with pytest.raises(PolyParseError):
         parse_poly("   ", ["x0"])
+
+
+def test_parse_reads_decimal_digit_runs_only():
+    # "²" is a digit to str.isdigit but not to int; "١" (Arabic-Indic one)
+    # is decimal, and int reads it as 1.
+    with pytest.raises(PolyParseError, match=r"^unexpected character '²' at position 3$"):
+        parse_poly("x0^²", ["x0"])
+    assert parse_poly("x0^١", ["x0"]) == parse_poly("x0", ["x0"])
+    assert parse_poly("١٢*x0", ["x0"]) == parse_poly("12*x0", ["x0"])
+
+
+# -- parsing against the two-level reference parser ------------------------------
+
+PARSE_VARS = ["x0", "x1", "x2"]
+PARSE_PIECES = ["x0", "x1", "x2", "y", "0", "1", "13", "+", "-", "*", "/", "^", " ", "?"]
+
+
+def parse_outcome(parse, text):
+    """The terms ``parse`` reads, or the type and message of what it raises."""
+    try:
+        return parse(text, PARSE_VARS).terms
+    except Exception as exc:  # any exception is an outcome to compare
+        return type(exc), str(exc)
+
+
+def seeded_text(rng):
+    """A polynomial in PARSE_VARS, up to two pieces inserted, replaced or
+    deleted, joined with or without spaces, and cut short three times in ten."""
+    pieces = [rng.choice(["", "+", "-"])]
+    for k in range(rng.randint(1, 3)):
+        if k:
+            pieces.append(rng.choice("+-"))
+        for j in range(rng.randint(1, 3)):
+            if j:
+                pieces.append("*")
+            pieces += rng.choice([["x0"], ["x2", "^", "2"], ["3"], ["1", "/", rng.choice("0223")]])
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(pieces) + 1)
+        pieces[i : i + rng.randint(0, 1)] = [rng.choice(PARSE_PIECES)] * rng.randint(0, 1)
+    text = rng.choice([" ", ""]).join(pieces)
+    return text[: rng.randint(0, len(text))] if rng.random() < 0.3 else text
+
+
+@pytest.mark.parametrize("text", ["+", " +13*", "0+ ", "x0^", "2/", "-", ""])
+def test_parse_matches_reference_at_the_end_of_input(text):
+    assert parse_outcome(parse_poly, text) == parse_outcome(reference_parse_poly, text)
+
+
+def test_parse_matches_reference_on_seeded_strings():
+    # Every outcome comes up hundreds of times: whole polynomials, and each
+    # error (end of input after a sign, "*", "/" or "^"; a missing or zero
+    # denominator; a missing exponent; an unknown name or character;
+    # trailing tokens).
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(20_000):
+        text = seeded_text(rng)
+        expected = parse_outcome(reference_parse_poly, text)
+        assert parse_outcome(parse_poly, text) == expected, text
+        seen.add("terms" if isinstance(expected, dict) else expected[1].split(" at ")[0][:12])
+    assert len(seen) == 10, seen
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(st.sampled_from(PARSE_PIECES) | st.characters(), max_size=12).map("".join))
+def test_parse_matches_reference_on_any_text(text):
+    # The two tokenizers differ only on digits that are not decimal.
+    assume(not any(c.isdigit() and not c.isdecimal() for c in text))
+    assert parse_outcome(parse_poly, text) == parse_outcome(reference_parse_poly, text)
 
 
 # -- evaluation --------------------------------------------------------------
