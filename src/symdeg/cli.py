@@ -41,8 +41,7 @@ from .hessian import (
 from .poly import _EVALUATE_BITS, MultiPoly, _tokenize, parse_poly
 
 
-_INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(0|[1-9]\d*)\Z")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(0|[1-9][0-9]*)\Z")
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\Z")
@@ -65,8 +64,8 @@ def _read_inline_or_file(text: str) -> str:
 
 
 def infer_variables(text: str) -> list[str]:
-    """x0..xN-style variable list from the identifiers in the text."""
-    names = set(_NAME.findall(text))
+    """x0..xN-style variable list from the names the polynomial tokenizer reads."""
+    names = {value for kind, value, _ in _tokenize(text) if kind == "name"}
     if not names:
         raise ValueError("no variables found in the polynomial; pass --vars")
     prefixes = set()
@@ -295,25 +294,13 @@ def _cmd_lh_dim(args: argparse.Namespace) -> int:
     betti = _parse_betti(args.betti)
     if args.quadric_rank is not None:
         dim = quadrics.lh_quadric_dim(betti, args.quadric_rank, args.k)
-        payload = {
-            "betti": betti,
-            "kind": "quadric",
-            "r": args.quadric_rank,
-            "k": args.k,
-            "dim": dim,
-        }
+        payload = {"kind": "quadric", "r": args.quadric_rank}
         lines = [f"dim H_{args.k} of the rank-{args.quadric_rank} quadric bundle: {dim}"]
     else:
         dim = quadrics.lh_projective_dim(betti, args.projective_fiber, args.k)
-        payload = {
-            "betti": betti,
-            "kind": "projective",
-            "fiber_dim": args.projective_fiber,
-            "k": args.k,
-            "dim": dim,
-        }
+        payload = {"kind": "projective", "fiber_dim": args.projective_fiber}
         lines = [f"dim H_{args.k} of the P^{args.projective_fiber} bundle: {dim}"]
-    return _emit(args, payload, lines)
+    return _emit(args, {"betti": betti, "k": args.k, "dim": dim, **payload}, lines)
 
 
 def _cmd_nonsurj(args: argparse.Namespace) -> int:

@@ -12,10 +12,11 @@ re-verified in exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import InternalCheckError
 from .hessian import (
+    Point,
     _check_point,
     build_hessian,
     evaluate_hessian,
@@ -24,8 +25,6 @@ from .hessian import (
 )
 from .linalg import det_rational, rank_rational
 from .poly import MultiPoly, compose_linear, differentiate, evaluate, homogeneous_degree
-
-Point = Sequence[Fraction | int]
 
 
 class AdaptedForm(NamedTuple):

@@ -60,13 +60,9 @@ def build_hessian(f: MultiPoly) -> HessianForm:
     n = f.num_vars
     check_length("the Hessian upper triangle", n * (n + 1) // 2)
     gradient = [differentiate(f, i) for i in range(n)]
-    rows: list[tuple[MultiPoly, ...]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(differentiate(gradient[i], j) if j >= i else rows[j][i])
-        rows.append(tuple(row))
-    return HessianForm(f=f, hessian=tuple(rows), degree=d, ambient_dim=n - 1)
+    upper = [differentiate(gradient[i], j) for i in range(n) for j in range(i, n)]
+    rows = tuple(map(tuple, _symmetric(n, upper)))
+    return HessianForm(f=f, hessian=rows, degree=d, ambient_dim=n - 1)
 
 
 def _check_point(n: int, p: Point) -> list[Fraction]:
@@ -195,26 +191,6 @@ class RankCertificate(NamedTuple):
     caveat: Optional[str] = None
 
 
-def _principal_minor(h: HessianForm, s: tuple[int, ...]) -> MultiPoly:
-    """Determinant of the principal submatrix on ``s``."""
-    if not s:
-        return MultiPoly.constant(1, h.size)
-    return det_poly([[h.hessian[i][j] for j in s] for i in s])
-
-
-def _certificate(
-    s: tuple[int, ...], det: MultiPoly, on_hypersurface: bool, caveat: Optional[str] = None
-) -> RankCertificate:
-    return RankCertificate(
-        rank=len(s),
-        witness_rows=s,
-        witness_cols=s,
-        witness_minor=det,
-        on_hypersurface=on_hypersurface,
-        caveat=caveat,
-    )
-
-
 def ambient_rank_certificate(h: HessianForm) -> RankCertificate:
     """Rank of the Hessian H over Q(x), witnessed by a nonzero principal minor.
 
@@ -233,7 +209,7 @@ def ambient_rank_certificate(h: HessianForm) -> RankCertificate:
     witness, det = _pivot_columns_poly(h.hessian)
     if det.is_zero():
         raise InternalCheckError("principal minor on the pivot columns is zero")
-    return _certificate(witness, det, on_hypersurface=False)
+    return RankCertificate(len(witness), witness, witness, det, on_hypersurface=False)
 
 
 def _reduced_caveat(f: MultiPoly) -> Optional[str]:
@@ -243,11 +219,7 @@ def _reduced_caveat(f: MultiPoly) -> Optional[str]:
     a monomial goes undetected.  Good enough to flag degenerate inputs
     like pure powers of a variable.
     """
-    mins = None
-    for exps in f.terms:
-        mins = exps if mins is None else tuple(map(min, mins, exps))
-    if mins is None:
-        return None
+    mins = list(map(min, zip(*f.terms)))
     if any(e >= 2 for e in mins):
         return "f is divisible by the square of a variable: the hypersurface is not reduced"
     if any(e >= 1 for e in mins):
@@ -288,9 +260,14 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     for k in range(ambient.rank, -1, -1):
         for t in _colex_subsets(len(live), k):
             s = tuple(live[i] for i in t)
-            det = ambient.witness_minor if s == ambient.witness_rows else _principal_minor(h, s)
+            if s == ambient.witness_rows:
+                det = ambient.witness_minor
+            elif s:
+                det = det_poly([[h.hessian[i][j] for j in s] for i in s])
+            else:
+                det = MultiPoly.constant(1, h.size)
             if not det.is_zero() and divides(h.f, det, MAX_LENGTH) is None:
-                return _certificate(s, det, on_hypersurface=True, caveat=caveat)
+                return RankCertificate(len(s), s, s, det, on_hypersurface=True, caveat=caveat)
     # k = 0 always ends the loop: the empty minor is 1 and deg f >= 2.
     raise InternalCheckError("divisibility search fell through the empty minor")
 

@@ -78,6 +78,28 @@ def test_infer_variables_rejects_leading_zero_index(text, name):
         infer_variables(text)
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [("é0^3 + é1^3", "é0"), ("xé0^3 + xé1^3", "xé0"), ("x1١^3 + x0^3", "x1١")],
+)
+def test_inference_reads_names_as_the_polynomial_reader_does(capsys, text, name):
+    # The whole name is blamed, never a fragment of it; "١" is not read
+    # as an index digit, so x1١ is not x11.
+    code, out, err = run(capsys, "hessian", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot infer variables from {name!r}; pass --vars explicitly\n"
+
+
+def test_names_outside_ascii_read_with_explicit_vars(capsys):
+    code, out, _ = run(capsys, "hessian", "é0^3 + é1^3", "--vars", "é0,é1")
+    assert (code, out) == (0, "[6*é0, 0]\n[0, 6*é1]\n")
+
+
+def test_inference_reports_an_unreadable_character_first(capsys):
+    code, out, err = run(capsys, "hessian", "x0^3 + y1^3 $")
+    assert (code, out, err) == (2, "", "error: unexpected character '$' at position 12\n")
+
+
 # -- basic commands ---------------------------------------------------------------
 
 
