@@ -59,18 +59,14 @@ from .poly import (
     parse_poly,
 )
 from .quadrics import (
-    FiberGysin,
     NonsurjectivityCertificate,
     PhiReplay,
-    QuadricFiberData,
     TorsionCertificate,
-    fiber_gysin_index,
     lh_projective_dim,
     lh_quadric_dim,
     nonsurjectivity_certificate,
     phi_torsion_replay,
     quadric_betti,
-    quadric_fiber_data,
     torsion_certificate,
 )
 
@@ -82,14 +78,12 @@ __all__ = [
     "BoundReport",
     "BoundStep",
     "FGAbelianGroup",
-    "FiberGysin",
     "HessianForm",
     "InternalCheckError",
     "MultiPoly",
     "NonsurjectivityCertificate",
     "PhiReplay",
     "PolyParseError",
-    "QuadricFiberData",
     "RankCertificate",
     "RankRelationReport",
     "RankStratification",
@@ -108,7 +102,6 @@ __all__ = [
     "dual_dimension",
     "evaluate",
     "evaluate_hessian",
-    "fiber_gysin_index",
     "generic_rank_ambient",
     "generic_rank_on_hypersurface",
     "homogeneous_degree",
@@ -120,7 +113,6 @@ __all__ = [
     "parse_poly",
     "phi_torsion_replay",
     "quadric_betti",
-    "quadric_fiber_data",
     "rank_at",
     "rank_rational",
     "rank_relation_check",

@@ -30,7 +30,7 @@ from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InternalCheckError
-from .poly import MultiPoly, _packing
+from .poly import MultiPoly, _mul_add, _packing
 
 RatMatrix = Sequence[Sequence[Fraction]]
 IntMatrix = Sequence[Sequence[int]]
@@ -251,14 +251,7 @@ def _expand_by_minors(work: list[list[dict]]) -> tuple[list[int], dict]:
                     continue
                 out = grown.setdefault(mask | bit, {})
                 size -= len(out)
-                get = out.get
-                odd = (mask >> i).bit_count() & 1
-                for e1, k1 in entry.items():
-                    if odd:
-                        k1 = -k1
-                    for e2, k2 in minor.items():
-                        e = e1 + e2
-                        out[e] = get(e, 0) + k1 * k2
+                _mul_add(out, entry, minor, -1 if (mask >> i).bit_count() & 1 else 1)
                 size += len(out)
                 if size > budget:
                     raise ValueError(f"expansion by minors passed its budget of {budget} terms")

@@ -126,7 +126,8 @@ class MultiPoly:
         self._check_same_ring(other)
         degree = max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0)
         pack, unpack, _ = _packing(self.num_vars, degree)
-        product = _mul(_packed(self.terms, pack), _packed(other.terms, pack))
+        product: _Terms = {}
+        _mul_add(product, _packed(self.terms, pack), _packed(other.terms, pack), 1)
         return MultiPoly(self.num_vars, {unpack(e): k for e, k in product.items()})
 
     __rmul__ = __mul__
@@ -448,15 +449,14 @@ def _packed(terms: Mapping[Exponents, Fraction | int], pack: Callable) -> _Terms
     return {pack(e): k for e, k in terms.items()}
 
 
-def _mul(a: _Terms, b: _Terms) -> _Terms:
-    """a*b, dropping cancelled terms."""
-    out: _Terms = {}
+def _mul_add(out: _Terms, a: _Terms, b: _Terms, sign: int) -> None:
+    """out += sign*a*b in place; cancelled terms stay in ``out`` as zeros."""
     get = out.get
     for e1, k1 in a.items():
+        k1 *= sign
         for e2, k2 in b.items():
             e = e1 + e2
             out[e] = get(e, 0) + k1 * k2
-    return {e: k for e, k in out.items() if k}
 
 
 def _divide_terms(

@@ -1,10 +1,10 @@
 """Homology bookkeeping for quadric bundles, as integer arithmetic.
 
 A smooth quadric of rank r has cohomology concentrated in even degrees
-with ranks given by a fixed table; here the table, the labeled bases,
-the multiply-by-two behaviour of the middle Gysin map and the resulting
-dimension counts and torsion certificates are replayed over a free
-model of the base homology supplied as a vector of Betti numbers.
+with ranks given by a fixed table; here the table, the multiply-by-two
+behaviour of the middle Gysin map and the resulting dimension counts
+and torsion certificates are replayed over a free model of the base
+homology supplied as a vector of Betti numbers.
 No topology is computed: the point is that the headline conclusions
 reduce to small exact calculations that can be re-run and audited.
 """
@@ -60,88 +60,6 @@ def quadric_betti(r: int, i: int) -> int:
     if r % 2 == 0 and i == r // 2 - 1:
         return 2
     return 1
-
-
-def _power_label(base: str, exponent: int) -> str:
-    if exponent == 0:
-        return "1"
-    if exponent == 1:
-        return base
-    return f"{base}^{exponent}"
-
-
-class QuadricFiberData(NamedTuple):
-    """Rank table and labeled basis of a rank-r quadric's cohomology."""
-
-    r: int
-    n: int
-    parity: str
-    dim: int
-    basis_labels: tuple[tuple[str, ...], ...]  # labels in H^{2i}, i = 0..dim
-    relations: tuple[str, ...]
-
-
-def quadric_fiber_data(r: int) -> QuadricFiberData:
-    """Labeled basis {h^i} u {h^i e} arranged by cohomological degree.
-
-    The hyperplane class h sits in degree 2; the maximal-isotropic
-    class e sits in degree 2(n-1) for even rank 2n and degree 2n for
-    odd rank 2n+1.
-    """
-    if r < 2:
-        raise ValueError("quadric table needs rank >= 2")
-    n = r // 2
-    dim = r - 2
-    even = r % 2 == 0
-    e_half_degree = n - 1 if even else n
-    labels: list[list[str]] = [[] for _ in range(dim + 1)]
-    for i in range(n):
-        labels[i].append(_power_label("h", i))
-        e_label = "e" if i == 0 else _power_label("h", i) + "*e"
-        labels[e_half_degree + i].append(e_label)
-    for i in range(dim + 1):
-        if len(labels[i]) != quadric_betti(r, i):
-            raise InternalCheckError("basis labels disagree with the rank table")
-    if even:
-        relations = (f"{_power_label('h', n - 1)} = e + f", "h*e = h*f")
-    else:
-        relations = (f"{_power_label('h', n)} = 2*e",)
-    return QuadricFiberData(
-        r=r,
-        n=n,
-        parity="even" if even else "odd",
-        dim=dim,
-        basis_labels=tuple(tuple(row) for row in labels),
-        relations=relations,
-    )
-
-
-class FiberGysin(NamedTuple):
-    """Middle-degree behaviour of the fiber-level Gysin map."""
-
-    r: int
-    n: int
-    relation: Optional[str] = None  # odd rank: the index-2 relation
-    image_index: Optional[int] = None  # odd rank: 2
-    source_rank: Optional[int] = None  # even rank: 1
-    target_rank: Optional[int] = None  # even rank: 2
-
-
-def fiber_gysin_index(r: int) -> FiberGysin:
-    """Index of the fiber Gysin image in middle degree.
-
-    Odd rank 2n+1: the image is generated by 2e inside the span of e,
-    index 2.  Even rank 2n: the map lands in a rank-2 module from a
-    rank-1 source, so it cannot surject for dimension reasons alone.
-    """
-    if r < 3:
-        raise ValueError("fiber Gysin data needs rank >= 3")
-    n = r // 2
-    if r % 2 == 1:
-        return FiberGysin(
-            r=r, n=n, relation=f"{_power_label('h', n)} = 2*e", image_index=2
-        )
-    return FiberGysin(r=r, n=n, source_rank=1, target_rank=2)
 
 
 # -- Leray-Hirsch dimension counts -----------------------------------------------
@@ -301,7 +219,8 @@ def torsion_certificate(betti: Sequence[int], r: int, d: int) -> TorsionCertific
     quotient = cokernel(bottom)
     if quotient != FGAbelianGroup(free_rank=0, torsion=(2,)):
         raise InternalCheckError("multiplication by 2 on Z must have cokernel Z/2")
-    relation = fiber_gysin_index(r).relation if r >= 3 else None
+    # Fiber relation h^n = 2e: the Gysin image in middle degree has index 2.
+    relation = None if n == 0 else "h = 2*e" if n == 1 else f"h^{n} = 2*e"
     return TorsionCertificate(
         r=r,
         d=d,

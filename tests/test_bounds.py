@@ -160,8 +160,10 @@ def test_veronese_outer_products():
 
 
 def test_veronese_rejects_zero():
-    with pytest.raises(ValueError):
-        veronese_witness([0, 0])
+    for v, message in (([0, 0], "zero vector has rank 0, not 1"), ([], "empty vector")):
+        with pytest.raises(ValueError) as exc:
+            veronese_witness(v)
+        assert str(exc.value) == message
 
 
 def test_veronese_rank_one_seeded_sweep():

@@ -383,6 +383,35 @@ def test_exit_two_on_generic_rank_below_two(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("stratify", "x0^2+x1^2", " ; "), "no points supplied"),
+        (("rank-at", "x0^2+x1^2", "1,2,3"), "point has 3 coordinates, expected 2"),
+        (("lh-dim", "--betti", "1,a", "--quadric-rank", "4", "2"), "malformed Betti vector '1,a'"),
+        (
+            ("lh-dim", "--betti", "1", "--projective-fiber", "-1", "2"),
+            "fiber dimension must be non-negative",
+        ),
+        (
+            ("lh-dim", "--betti", "1", "--projective-fiber", "3", "--", "-1"),
+            "homological degree must be non-negative",
+        ),
+        (("nonsurj", "--betti", "1", "--r", "0", "--d", "0"), "rank must be at least 2"),
+        (("nonsurj", "--betti", "1", "--r", "4", "--d", "-1"), "dimension must be non-negative"),
+        (("torsion", "--betti", "1", "--r", "-1", "--d", "0"), "rank must be positive"),
+        (("hessian", "x0^2", "--vars", "x0,x0"), "duplicate variable names"),
+    ],
+    ids=[
+        "no-points", "point-length", "malformed-betti", "negative-fiber-dim",
+        "negative-degree", "nonsurj-rank", "nonsurj-dim", "torsion-rank", "duplicate-vars",
+    ],
+)
+def test_exit_two_names_the_refused_argument(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("names", ["", ","])
 def test_exit_two_on_empty_vars(capsys, names):
     code, out, err = run(capsys, "hessian", "x0^2", "--vars", names)
@@ -1026,10 +1055,6 @@ RECORD_FIELDS = {
     ),
     ("hessian", "RankStratification"): ("buckets",),
     ("linalg", "FGAbelianGroup"): ("free_rank", "torsion"),
-    ("quadrics", "QuadricFiberData"): ("r", "n", "parity", "dim", "basis_labels", "relations"),
-    ("quadrics", "FiberGysin"): (
-        "r", "n", "relation", "image_index", "source_rank", "target_rank",
-    ),
     ("quadrics", "NonsurjectivityCertificate"): (
         "r", "d", "n", "degree_source", "degree_target", "dim_source", "dim_target",
         "surjection_impossible",

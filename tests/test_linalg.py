@@ -174,6 +174,30 @@ def test_minor_k0_convention():
     assert minors[0][2] == MultiPoly.constant(1, 2)
 
 
+X2 = MultiPoly.variable(0, 2)
+X3 = MultiPoly.variable(0, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rank_rational([[1, 2], [3]]), "ragged matrix"),
+        (lambda: mat_mul([[1, 2]], [[1, 2]]), "cannot multiply 1x2 by 1x2"),
+        (lambda: det_rational([[1, 2]]), "determinant needs a square matrix"),
+        (lambda: det_poly([[X2, X2]]), "determinant needs a square matrix"),
+        (
+            lambda: det_poly([[X2, X3], [X2, X2]]),
+            "matrix entries live in different polynomial rings",
+        ),
+    ],
+    ids=["ragged", "mat-mul-shapes", "det-not-square", "det-poly-not-square", "mixed-rings"],
+)
+def test_malformed_matrices_are_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_minor_k_out_of_range():
     with pytest.raises(ValueError):
         list(minor_dets(sym2(), 3))

@@ -75,18 +75,37 @@ def points(n):
 # -- construction -------------------------------------------------------------
 
 
+X2 = MultiPoly.variable(0, 2)
+X3 = MultiPoly.variable(0, 3)
+
+
 @pytest.mark.parametrize(
-    "num_vars, terms, message",
+    "call, message",
     [
-        (2, {(1,): 1}, "length 1, expected 2"),
-        (2, {(1, -1): 1}, "negative exponent"),
-        (-1, {}, "num_vars must be non-negative"),
+        (lambda: MultiPoly(2, {(1,): 1}), "exponent vector (1,) has length 1, expected 2"),
+        (lambda: MultiPoly(2, {(1, -1): 1}), "negative exponent in (1, -1)"),
+        (lambda: MultiPoly(-1, {}), "num_vars must be non-negative"),
+        (lambda: MultiPoly.variable(2, 2), "variable index 2 out of range for 2 variables"),
+        (lambda: MultiPoly.zero(2).total_degree(), "zero polynomial has no total degree"),
+        (lambda: X2**-1, "negative powers are not polynomials"),
+        (lambda: X2.format(["a"]), "wrong number of variable names"),
+        (lambda: X2 + X3, "mixed variable counts: 2 vs 3"),
+        (lambda: divides(X2, X3), "mixed variable counts"),
+        (
+            lambda: compose_linear(X2, [[1, 0]]),
+            "substitution matrix must be square of size num_vars",
+        ),
     ],
-    ids=["wrong-length", "negative-exponent", "negative-num-vars"],
+    ids=[
+        "wrong-length", "negative-exponent", "negative-num-vars", "variable-out-of-range",
+        "zero-total-degree", "negative-power", "name-count", "mixed-rings-sum",
+        "mixed-rings-divides", "non-square-substitution",
+    ],
 )
-def test_multipoly_rejects_invalid_input(num_vars, terms, message):
-    with pytest.raises(ValueError, match=message):
-        MultiPoly(num_vars, terms)
+def test_multipoly_rejects_invalid_input(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_multipoly_drops_zero_coefficients():

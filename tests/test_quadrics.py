@@ -11,8 +11,6 @@ from symdeg import (
     nonsurjectivity_certificate,
     phi_torsion_replay,
     quadric_betti,
-    quadric_fiber_data,
-    fiber_gysin_index,
     torsion_certificate,
 )
 from symdeg.cli import to_json
@@ -70,60 +68,6 @@ def test_fiber_total_rank_is_two_n(r):
 def test_fiber_table_poincare_symmetry(r):
     for i in range(r - 1):
         assert quadric_betti(r, i) == quadric_betti(r, (r - 2) - i)
-
-
-# -- labeled bases ------------------------------------------------------------------
-
-
-def test_fiber_data_even_case():
-    fd = quadric_fiber_data(6)
-    assert fd.parity == "even" and fd.n == 3 and fd.dim == 4
-    assert fd.relations == ("h^2 = e + f", "h*e = h*f")
-    flat = [label for labels in fd.basis_labels for label in labels]
-    assert sorted(flat) == sorted(["1", "h", "h^2", "e", "h*e", "h^2*e"])
-    assert len(flat) == 2 * fd.n
-
-
-def test_fiber_data_odd_case():
-    fd = quadric_fiber_data(5)
-    assert fd.parity == "odd" and fd.n == 2 and fd.dim == 3
-    assert fd.relations == ("h^2 = 2*e",)
-    flat = [label for labels in fd.basis_labels for label in labels]
-    assert sorted(flat) == sorted(["1", "h", "e", "h*e"])
-
-
-@settings(deadline=None)
-@given(st.integers(2, 12))
-def test_fiber_data_label_counts_match_table(r):
-    fd = quadric_fiber_data(r)
-    for i, labels in enumerate(fd.basis_labels):
-        assert len(labels) == quadric_betti(r, i)
-
-
-# -- fiber Gysin index ----------------------------------------------------------------
-
-
-def test_gysin_odd_five():
-    record = fiber_gysin_index(5)
-    assert record.relation == "h^2 = 2*e"
-    assert record.image_index == 2
-
-
-def test_gysin_odd_three():
-    record = fiber_gysin_index(3)
-    assert record.relation == "h = 2*e"
-    assert record.image_index == 2
-
-
-def test_gysin_even_six():
-    record = fiber_gysin_index(6)
-    assert record.source_rank == 1 and record.target_rank == 2
-    assert record.relation is None
-
-
-def test_gysin_needs_rank_three():
-    with pytest.raises(ValueError):
-        fiber_gysin_index(2)
 
 
 # -- Leray-Hirsch dimension counts -------------------------------------------------------
@@ -282,6 +226,20 @@ def test_phi_replay_dimension_mismatch():
         phi_torsion_replay([[1], [0], [0]], 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: phi_torsion_replay([], 0), "need n >= 1 (odd rank 2n+1 >= 3)"),
+        (lambda: lh_quadric_dim([], 4, 2), "empty Betti vector"),
+    ],
+    ids=["phi-rank-one", "empty-betti"],
+)
+def test_degenerate_fiber_input_is_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @settings(deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_phi_replay_always_checks(n, data):
@@ -326,6 +284,16 @@ def test_torsion_smallest_odd_rank():
     cert = torsion_certificate([1], 1, 0)
     assert cert.quotient == FGAbelianGroup(0, (2,))
     assert cert.relation is None
+
+
+@pytest.mark.parametrize(
+    "r, relation",
+    [(1, None), (3, "h = 2*e"), (5, "h^2 = 2*e"), (7, "h^3 = 2*e"), (21, "h^10 = 2*e")],
+    ids=["r1", "r3", "r5", "r7", "r21"],
+)
+def test_torsion_relation_is_h_to_the_n_equals_two_e(r, relation):
+    # odd rank r = 2n+1: the fiber Gysin image in middle degree is generated by 2e
+    assert torsion_certificate([1], r, 0).relation == relation
 
 
 def test_torsion_json_round_trip():
