@@ -4,8 +4,9 @@ Every command accepts ``--format json`` for a machine-readable report
 with a top-level ``"schema": 1`` field; identical invocations produce
 byte-identical JSON.  JSON encoding lives only in this module: library
 reports are immutable named tuples, and ``to_json`` turns them into JSON
-values.  Exit codes: 0 success, 1 stdout closed before the report was
-written, 2 bad input, 3 failed internal consistency check.
+values.  Exit codes: 0 success; 1 stdout cannot be written: the reader
+closed it, or a write failed; 2 bad input; 3 failed internal consistency
+check.
 
 Polynomials are passed inline or as ``@path``.  Variable names come
 from ``--vars`` or are inferred: indexed names sharing one alphabetic
@@ -443,10 +444,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed stdout (``symdeg ... | head``).  As the Python
-        # docs on SIGPIPE advise, point fd 1 at devnull so that the flush
-        # at interpreter exit cannot fail a second time.
+    except OSError as exc:
+        # The reader closed stdout (``symdeg ... | head``), silently, or a
+        # write failed (``> /dev/full``).  Reads never get here: their
+        # OSError is a ValueError by then.  As the Python docs on SIGPIPE
+        # advise, point fd 1 at devnull so that the flush at interpreter
+        # exit cannot fail a second time.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the report: {exc.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ValueError as exc:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import MAX_LENGTH, InternalCheckError, check_length
+from .errors import InternalCheckError, check_length
 from .linalg import _bareiss, _colex_subsets, _pivot_columns_poly, det_poly
 from .poly import (
     _EVALUATE_BITS, MultiPoly, _extra_bits, differentiate, divides, evaluate, homogeneous_degree,
@@ -253,23 +253,27 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     skips anyway; and colex order on subsets of the live indices keeps
     their relative order among all subsets, so the first set that passes,
     and with it the rank, witness and minor, is unchanged.
+
+    Some set passes by k = 1, so the empty minor is never built.  A
+    nonzero H_ii has degree d - 2 < deg f, so f does not divide it, and
+    k = 1 passes.  If instead every H_ii is 0, f has degree at most 1 in
+    each variable; as deg f >= 2, some H_ij != 0, so the ambient rank is
+    at least 2.  The minor on {i, j} is -H_ij^2, of degree 0 in x_i,
+    while x_i has degree 1 in f; so f does not divide it, and k = 2
+    passes.
     """
     ambient = ambient_rank_certificate(h)
     caveat = _reduced_caveat(h.f)
     live = [i for i, row in enumerate(h.hessian) if any(row)]
-    for k in range(ambient.rank, -1, -1):
-        for t in _colex_subsets(len(live), k):
-            s = tuple(live[i] for i in t)
+    for k in range(ambient.rank, 0, -1):
+        for s in _colex_subsets(live, k):
             if s == ambient.witness_rows:
                 det = ambient.witness_minor
-            elif s:
-                det = det_poly([[h.hessian[i][j] for j in s] for i in s])
             else:
-                det = MultiPoly.constant(1, h.size)
-            if not det.is_zero() and divides(h.f, det, MAX_LENGTH) is None:
-                return RankCertificate(len(s), s, s, det, on_hypersurface=True, caveat=caveat)
-    # k = 0 always ends the loop: the empty minor is 1 and deg f >= 2.
-    raise InternalCheckError("divisibility search fell through the empty minor")
+                det = det_poly([[h.hessian[i][j] for j in s] for i in s])
+            if not det.is_zero() and divides(h.f, det) is None:
+                return RankCertificate(k, s, s, det, on_hypersurface=True, caveat=caveat)
+    raise InternalCheckError("divisibility search found no principal minor")
 
 
 def generic_rank_ambient(h: HessianForm) -> int:

@@ -269,22 +269,19 @@ def _shared_num_vars(m: PolyMatrix) -> int:
     return counts.pop() if counts else 0
 
 
-def _colex_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The k-subsets of range(n) in colex order (largest element first), one at a time.
+def _colex_subsets(pool: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
+    """The k-subsets of ``pool`` in colex order (largest element first), one at a time.
 
-    The next set raises by one the lowest element that can rise without
-    meeting the next one (or n), and resets those below it to 0, 1, ....
+    For top = k-1, k, ..., each (k-1)-subset of pool[:top] in colex order,
+    then pool[top].  The recursion is k + 1 generator frames deep, at most
+    362, since ``build_hessian``'s ``MAX_LENGTH`` guard caps n at 361.
     """
-    if not 0 <= k <= n:
+    if k == 0:
+        yield ()
         return
-    s = [*range(k), n]
-    while True:
-        yield tuple(s[:k])
-        i = next((i for i in range(k) if s[i] + 1 < s[i + 1]), None)
-        if i is None:
-            return
-        s[i] += 1
-        s[:i] = range(i)
+    for top in range(k - 1, len(pool)):
+        for head in _colex_subsets(pool[:top], k - 1):
+            yield (*head, pool[top])
 
 
 # -- Smith normal form and cokernels ------------------------------------------

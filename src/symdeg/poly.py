@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, inf, prod
+from math import comb, prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import MAX_DIGITS, PolyParseError
+from .errors import MAX_DIGITS, MAX_LENGTH, PolyParseError
 
 Exponents = tuple[int, ...]
 
@@ -361,7 +361,7 @@ def homogeneous_degree(p: MultiPoly) -> Optional[int]:
     return None
 
 
-def divides(f: MultiPoly, m: MultiPoly, max_terms: float = inf) -> Optional[MultiPoly]:
+def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
     """Quotient q with m = q*f, or None when f does not divide m.
 
     Long division by the single divisor f under the graded-lex order,
@@ -372,7 +372,7 @@ def divides(f: MultiPoly, m: MultiPoly, max_terms: float = inf) -> Optional[Mult
     and ceiling_i = high_i(m) - high_i(f); a division that needs one
     outside that box stops with None.  Monomials are packed for the
     larger total degree of f and m, or the total of ceiling, if larger.
-    A division takes one step per quotient term; past ``max_terms`` of
+    A division takes one step per quotient term; past ``MAX_LENGTH`` of
     them ValueError is raised.
     """
     if f.num_vars != m.num_vars:
@@ -388,7 +388,7 @@ def divides(f: MultiPoly, m: MultiPoly, max_terms: float = inf) -> Optional[Mult
     degree = max(sum(ceiling), *map(sum, (*f.terms, *m.terms)))
     pack, unpack, guard = _packing(f.num_vars, degree)
     box = pack(tuple(floor)), pack(tuple(ceiling))
-    quotient = _divide_terms(_packed(f.terms, pack), _packed(m.terms, pack), guard, box, max_terms)
+    quotient = _divide_terms(_packed(f.terms, pack), _packed(m.terms, pack), guard, box)
     if quotient is None:
         return None
     return MultiPoly(f.num_vars, {unpack(e): k for e, k in quotient.items()})
@@ -459,9 +459,7 @@ def _mul_add(out: _Terms, a: _Terms, b: _Terms, sign: int) -> None:
             out[e] = get(e, 0) + k1 * k2
 
 
-def _divide_terms(
-    f: _Terms, m: _Terms, guard: int, box: tuple[int, int], max_terms: float
-) -> Optional[_Terms]:
+def _divide_terms(f: _Terms, m: _Terms, guard: int, box: tuple[int, int]) -> Optional[_Terms]:
     """Quotient q with m = q*f over Q, or None when f does not divide m.
 
     ``f`` is nonzero, and the coefficients are the ``Fraction``s that
@@ -485,7 +483,7 @@ def _divide_terms(
     early None, are those of the exponent-tuple order.  ``box``, packed
     (floor, ceiling) within the same bound, holds every term of q when f
     divides m; a quotient term outside it, found by the same mask test,
-    also gives None.  Past ``max_terms`` quotient terms ValueError is
+    also gives None.  Past ``MAX_LENGTH`` quotient terms ValueError is
     raised.
     """
     f_key = max(f)
@@ -509,8 +507,8 @@ def _divide_terms(
         if ((diff + guard - box[0]) & (box[1] + guard - diff) & guard) != guard:
             return None
         quotient[diff] = t
-        if len(quotient) > max_terms:
-            raise ValueError(f"polynomial division passed its budget of {max_terms} quotient terms")
+        if len(quotient) > MAX_LENGTH:
+            raise ValueError(f"polynomial division passed its budget of {MAX_LENGTH} quotient terms")
         for e, k in rest:
             key = diff + e
             old = remainder.get(key)

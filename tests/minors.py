@@ -94,8 +94,8 @@ def minor_dets(
     if k == 0:
         yield (), (), MultiPoly.constant(1, _shared_num_vars(m))
         return
-    col_sets = list(_colex_subsets(cols, k))
-    for row_set in _colex_subsets(rows, k):
+    col_sets = list(_colex_subsets(range(cols), k))
+    for row_set in _colex_subsets(range(rows), k):
         for col_set in col_sets:
             sub = [[m[i][j] for j in col_set] for i in row_set]
             yield row_set, col_set, det_poly(sub)

@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, formats, determinism, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -467,6 +468,38 @@ def test_closed_stdout_exits_one_without_traceback():
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_failed_write_exits_one_with_one_line():
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "symdeg.cli", "quad-betti", "6"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=source_env(),
+        )
+    assert result.returncode == 1
+    assert result.stderr == f"error: cannot write the report: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_failed_write_in_process_exits_one(capsys, monkeypatch, tmp_path):
+    # ``main`` points the failed stdout's fd at devnull: here that of a
+    # temporary file, not the test runner's own fd 1.
+    class FullStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fileno(self):
+            return target.fileno()
+
+    with open(tmp_path / "out", "w") as target:
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(["quad-betti", "6"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot write the report: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize(

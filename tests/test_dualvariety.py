@@ -148,6 +148,11 @@ def test_adapt_rejects_linear_forms():
         adapt_coordinates(parse_poly("x0 + x1", ["x0", "x1"]), (1, -1))
 
 
+def test_adapt_rejects_inhomogeneous_forms():
+    with pytest.raises(ValueError, match="^not homogeneous$"):
+        adapt_coordinates(parse_poly("x0^2 + x1", ["x0", "x1"]), (1, -1))
+
+
 def test_adapt_quartic_smooth_point():
     f = parse_poly(QUARTIC, W)
     af = adapt_coordinates(f, (0, 1, 0, 0))

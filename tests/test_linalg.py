@@ -21,7 +21,7 @@ from symdeg import (
     smith_normal_form,
 )
 from symdeg.cli import to_json
-from symdeg.linalg import _bareiss, mat_mul
+from symdeg.linalg import _bareiss, _colex_subsets, mat_mul
 
 from minors import minor_dets
 
@@ -174,6 +174,10 @@ def test_minor_k0_convention():
     assert minors[0][2] == MultiPoly.constant(1, 2)
 
 
+def test_det_poly_of_the_empty_matrix_is_one():
+    assert repr(det_poly([])) == "MultiPoly(0, '1')"
+
+
 X2 = MultiPoly.variable(0, 2)
 X3 = MultiPoly.variable(0, 3)
 
@@ -213,6 +217,13 @@ def test_minor_enumeration_is_colexicographic():
         if rows not in row_sets:
             row_sets.append(rows)
     assert row_sets == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("pool", [range(6), [2, 3, 7, 9], [], [5]], ids=repr)
+def test_colex_subsets_match_sorted_combinations(pool):
+    for k in range(len(pool) + 2):
+        expected = sorted(itertools.combinations(pool, k), key=lambda s: s[::-1])
+        assert list(_colex_subsets(pool, k)) == expected
 
 
 def test_quartic_hessian_full_minor_degree_eight():

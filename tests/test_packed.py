@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdeg import MultiPoly, det_poly, divides
-from symdeg import linalg
+from symdeg import linalg, poly
 from symdeg.linalg import _pivot_columns_poly
 from symdeg.errors import MAX_LENGTH
 from symdeg.poly import _packing
@@ -187,25 +187,33 @@ def test_divides_matches_tuple_reference_on_any_dividend(num_vars, degree, data)
 def test_divides_stops_past_its_quotient_budget():
     # (x0^n - x1^n) / (x0 - x1) has n quotient terms, and dividing
     # x0^n + x1^n takes n steps before the remainder 2*x1^n shows that it is
-    # no multiple.  Without a budget the division runs to its end.
+    # no multiple.  Every division stops past n = MAX_LENGTH quotient terms.
     x0, x1 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
     n = MAX_LENGTH
-    assert len(divides(x0 - x1, x0**n - x1**n, n).terms) == n
-    assert divides(x0 - x1, x0**n + x1**n, n) is None
-    with pytest.raises(ValueError, match=f"budget of {n} quotient terms"):
-        divides(x0 - x1, x0 ** (n + 1) + x1 ** (n + 1), n)
-    assert len(divides(x0 - x1, x0 ** (n + 1) - x1 ** (n + 1)).terms) == n + 1
+    assert len(divides(x0 - x1, x0**n - x1**n).terms) == n
+    assert divides(x0 - x1, x0**n + x1**n) is None
+    for f, m in [
+        (x0 - x1, x0 ** (n + 1) + x1 ** (n + 1)),
+        (x0 - x1, x0 ** (n + 1) - x1 ** (n + 1)),
+        (x0 + x1, x0**HUGE - x1**HUGE),
+    ]:
+        with pytest.raises(ValueError, match=f"budget of {n} quotient terms"):
+            divides(f, m)
 
 
-def test_divides_stops_outside_the_degree_box():
+def test_divides_stops_outside_the_degree_box(monkeypatch):
     # Each quotient term has degree in x_i between low_i(m) - low_i(f) and
     # high_i(m) - high_i(f).  Dividing x0^n by x0 - x1 would take n steps
     # before the remainder x1^n showed up, but x1 cannot appear in q at
     # all, so no step is taken; into x0^n + x1^2, q could go with x1 at
-    # most once, so the third step, x0^(n-3)*x1^2, stops inside the budget.
+    # most once, so the third step, x0^(n-3)*x1^2, stops inside a budget
+    # of two quotient terms.
     x0, x1, x2 = (MultiPoly.variable(i, 3) for i in range(3))
-    assert divides(x0 - x1, x0**HUGE, 1) is None
-    assert divides(x0 - x1, x0**HUGE + x1**2, 2) is None
+    monkeypatch.setattr(poly, "MAX_LENGTH", 1)
+    assert divides(x0 - x1, x0**HUGE) is None
+    monkeypatch.setattr(poly, "MAX_LENGTH", 2)
+    assert divides(x0 - x1, x0**HUGE + x1**2) is None
+    monkeypatch.undo()
     f, q = x0 * x2 + x1**2, x0 * x2**3 - x1**2 * x2**2
     assert divides(f, f * q) == q
     assert divides(f, f * q + x1**2 * x2**4) is None

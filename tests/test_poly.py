@@ -108,6 +108,20 @@ def test_multipoly_rejects_invalid_input(call, message):
     assert str(exc.value) == message
 
 
+def test_multipoly_operators_and_identity():
+    x0, x1 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+    p = x0 + 2 * x1
+    assert str(1 - p) == "-x0 - 2*x1 + 1"
+    for op in (lambda: p + "a", lambda: p * "a"):
+        with pytest.raises(TypeError):
+            op()
+    assert (p == "a") is False
+    assert hash(p) == hash(x1 * 2 + x0)
+    assert repr(p) == "MultiPoly(2, 'x0 + 2*x1')"
+    with pytest.raises(AttributeError, match="^MultiPoly is immutable$"):
+        p.num_vars = 3
+
+
 def test_multipoly_drops_zero_coefficients():
     p = MultiPoly(2, {(1, 0): 0, (0, 1): Fraction(3, 2), (0, 0): Fraction(0)})
     assert p.terms == {(0, 1): Fraction(3, 2)}

@@ -58,5 +58,6 @@ def test_limits_paragraph_matches_the_constants():
         f"at most {most_variables} variables",
         f"more than {_EXPANSION_TERMS:,} terms",
         f"more than {MAX_DIGITS:,} digits",
+        f"hypersurface search, stops past {MAX_LENGTH:,} quotient terms",
     ):
         assert phrase in text, phrase
