@@ -4,9 +4,9 @@ Every command accepts ``--format json`` for a machine-readable report
 with a top-level ``"schema": 1`` field; identical invocations produce
 byte-identical JSON.  JSON encoding lives only in this module: library
 reports are immutable named tuples, and ``to_json`` turns them into JSON
-values.  Exit codes: 0 success; 1 stdout cannot be written: the reader
-closed it, or a write failed; 2 bad input; 3 failed internal consistency
-check.
+values.  Exit codes: 0 success; 1 stdout cannot be written: it was closed
+before start or by the reader, or a write failed; 2 bad input; 3 failed
+internal consistency check.
 
 Polynomials are passed inline or as ``@path``.  Variable names come
 from ``--vars`` or are inferred: indexed names sharing one alphabetic
@@ -28,18 +28,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
-from . import quadrics
-from .dualvariety import dual_dimension, rank_relation_check
-from .errors import MAX_DIGITS, InternalCheckError, PolyParseError, check_length
-from .hessian import (
-    HessianForm,
-    ambient_rank_certificate,
-    build_hessian,
-    hypersurface_rank_certificate,
-    rank_at,
-    stratify,
-)
-from .poly import _EVALUATE_BITS, MultiPoly, _tokenize, parse_poly
+from . import dualvariety, hessian, poly, quadrics
+from .errors import _EVALUATE_BITS, MAX_DIGITS, InternalCheckError, PolyParseError, check_length
 
 
 _INDEXED_NAME = re.compile(r"([A-Za-z_]+?)(0|[1-9][0-9]*)\Z")
@@ -66,7 +56,7 @@ def _read_inline_or_file(text: str) -> str:
 
 def infer_variables(text: str) -> list[str]:
     """x0..xN-style variable list from the names the polynomial tokenizer reads."""
-    names = {value for kind, value, _ in _tokenize(text) if kind == "name"}
+    names = {value for kind, value, _ in poly._tokenize(text) if kind == "name"}
     if not names:
         raise ValueError("no variables found in the polynomial; pass --vars")
     prefixes = set()
@@ -89,7 +79,7 @@ def infer_variables(text: str) -> list[str]:
     return [f"{prefix}{i}" for i in range(top + 1)]
 
 
-def _poly_arg(args: argparse.Namespace) -> tuple[MultiPoly, list[str]]:
+def _poly_arg(args: argparse.Namespace) -> tuple[poly.MultiPoly, list[str]]:
     text = _read_inline_or_file(args.poly)
     if args.vars is not None:
         var_names = [v.strip() for v in args.vars.split(",") if v.strip()]
@@ -100,13 +90,13 @@ def _poly_arg(args: argparse.Namespace) -> tuple[MultiPoly, list[str]]:
                 raise ValueError(f"--vars entry {name!r} is not a variable name")
     else:
         var_names = infer_variables(text)
-    return parse_poly(text, var_names), var_names
+    return poly.parse_poly(text, var_names), var_names
 
 
 def _is_name(text: str) -> bool:
     """Whether the polynomial tokenizer reads ``text`` as exactly one name."""
     try:
-        return [kind for kind, _, _ in _tokenize(text)] == ["name"]
+        return [kind for kind, _, _ in poly._tokenize(text)] == ["name"]
     except PolyParseError:
         return False
 
@@ -203,7 +193,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> int
 
 def _cmd_hessian(args: argparse.Namespace) -> int:
     f, var_names = _poly_arg(args)
-    h = build_hessian(f)
+    h = hessian.build_hessian(f)
     matrix = [[entry.format(var_names) for entry in row] for row in h.hessian]
     lines = ["[" + ", ".join(row) + "]" for row in matrix]
     return _emit(
@@ -216,7 +206,7 @@ def _cmd_hessian(args: argparse.Namespace) -> int:
 def _cmd_rank_at(args: argparse.Namespace) -> int:
     f, _ = _poly_arg(args)
     point = _parse_point(args.point)
-    rank = rank_at(build_hessian(f), point)
+    rank = hessian.rank_at(hessian.build_hessian(f), point)
     return _emit(
         args,
         {"point": to_json(point), "rank": rank},
@@ -227,23 +217,24 @@ def _cmd_rank_at(args: argparse.Namespace) -> int:
 def _cmd_stratify(args: argparse.Namespace) -> int:
     f, _ = _poly_arg(args)
     points = _parse_points_arg(args.points)
-    strat = stratify(build_hessian(f), points)
-    lines, ranks = [], {}
-    for rank in sorted(strat.buckets):
-        formatted = ["(" + ", ".join(str(c) for c in p) + ")" for p in strat.buckets[rank]]
-        lines.append(f"rank {rank}: " + "; ".join(formatted))
-        ranks[str(rank)] = to_json(strat.buckets[rank])
-    return _emit(args, {"ranks": ranks}, lines or ["no points"])
+    buckets = sorted(hessian.stratify(hessian.build_hessian(f), points).buckets.items())
+    if args.format == "json":
+        return _emit(args, {"ranks": {str(rank): to_json(ps) for rank, ps in buckets}}, [])
+    lines = [
+        f"rank {rank}: " + "; ".join("(" + ", ".join(map(str, p)) + ")" for p in ps)
+        for rank, ps in buckets
+    ]
+    return _emit(args, {}, lines or ["no points"])
 
 
 def _cmd_generic_rank(args: argparse.Namespace) -> int:
     f, var_names = _poly_arg(args)
-    h: HessianForm = build_hessian(f)
+    h = hessian.build_hessian(f)
     if args.on_hypersurface:
-        cert = hypersurface_rank_certificate(h)
+        cert = hessian.hypersurface_rank_certificate(h)
         where = "on the hypersurface"
     else:
-        cert = ambient_rank_certificate(h)
+        cert = hessian.ambient_rank_certificate(h)
         where = "ambient"
     minor = cert.witness_minor.format(var_names)
     lines = [
@@ -257,14 +248,14 @@ def _cmd_generic_rank(args: argparse.Namespace) -> int:
 
 def _cmd_dual_dim(args: argparse.Namespace) -> int:
     f, _ = _poly_arg(args)
-    value = dual_dimension(f)
+    value = dualvariety.dual_dimension(f)
     return _emit(args, {"dual_dimension": value}, [f"dual variety dimension: {value}"])
 
 
 def _cmd_check_rank_relation(args: argparse.Namespace) -> int:
     f, _ = _poly_arg(args)
     point = _parse_point(args.point)
-    report = rank_relation_check(f, point)
+    report = dualvariety.rank_relation_check(f, point)
     lines = [
         f"rank Q: {report.rank_q}",
         f"rank A: {report.rank_a}",
@@ -442,6 +433,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         code = args.handler(args)
+        if sys.stdout is None:
+            # fd 1 was closed before start (``symdeg ... >&-``): print wrote nothing.
+            print("error: cannot write the report: standard output is closed", file=sys.stderr)
+            return 1
         sys.stdout.flush()
         return code
     except OSError as exc:

@@ -23,6 +23,11 @@ MAX_LENGTH = 1 << 16
 MAX_DIGITS = 4300
 
 
+# The most bits one exact value may take in evaluation, substitution and
+# the pointwise Hessian rank (half a megabyte); past it, ValueError.
+_EVALUATE_BITS = 1 << 22
+
+
 def check_length(what: str, length: int) -> None:
     """ValueError when a list would be longer than ``MAX_LENGTH``."""
     if length > MAX_LENGTH:

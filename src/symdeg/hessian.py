@@ -21,11 +21,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InternalCheckError, check_length
+from .errors import _EVALUATE_BITS, InternalCheckError, check_length
 from .linalg import _bareiss, _colex_subsets, _pivot_columns_poly, det_poly
-from .poly import (
-    _EVALUATE_BITS, MultiPoly, _extra_bits, differentiate, divides, evaluate, homogeneous_degree,
-)
+from .poly import MultiPoly, _extra_bits, differentiate, divides, evaluate, homogeneous_degree
 
 Point = Sequence[Fraction | int]
 

@@ -29,12 +29,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
+from . import poly
 from .errors import InternalCheckError
-from .poly import MultiPoly, _mul_add, _packing
 
 RatMatrix = Sequence[Sequence[Fraction]]
 IntMatrix = Sequence[Sequence[int]]
-PolyMatrix = Sequence[Sequence[MultiPoly]]
+PolyMatrix = Sequence[Sequence["poly.MultiPoly"]]
 _EXPANSION_TERMS = 1 << 22  # terms in one column of ``_expand_by_minors``
 
 
@@ -160,7 +160,7 @@ def det_rational(m: RatMatrix) -> Fraction:
 # -- symbolic minors ----------------------------------------------------------
 
 
-def det_poly(m: PolyMatrix) -> MultiPoly:
+def det_poly(m: PolyMatrix) -> poly.MultiPoly:
     """Determinant of a square polynomial matrix.
 
     From ``_pivot_columns_poly``; zero when it finds fewer pivot columns
@@ -170,12 +170,12 @@ def det_poly(m: PolyMatrix) -> MultiPoly:
     if rows != cols:
         raise ValueError("determinant needs a square matrix")
     if rows == 0:
-        return MultiPoly.constant(1, _shared_num_vars(m))
+        return poly.MultiPoly.constant(1, _shared_num_vars(m))
     pivots, minor = _pivot_columns_poly(m)
-    return minor if len(pivots) == rows else MultiPoly.zero(minor.num_vars)
+    return minor if len(pivots) == rows else poly.MultiPoly.zero(minor.num_vars)
 
 
-def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], MultiPoly]:
+def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], poly.MultiPoly]:
     """Pivot columns S of a nonempty square ``m`` over Z[x], and det m[S, S].
 
     The pivot columns are the greedy independent columns: column c is one
@@ -203,8 +203,8 @@ def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], MultiPoly]:
             det = Fraction(sign * work[-1][-1], scale**n)
         else:
             det = det_rational([[consts[i][j] for j in pivots] for i in pivots])
-        return tuple(pivots), MultiPoly.constant(det, num_vars)
-    pack, unpack, _ = _packing(num_vars, n * delta)
+        return tuple(pivots), poly.MultiPoly.constant(det, num_vars)
+    pack, unpack, _ = poly._packing(num_vars, n * delta)
     scale = lcm(*(c.denominator for row in m for x in row for c in x.terms.values()))
     work = [
         [{pack(e): c.numerator * (scale // c.denominator) for e, c in x.terms.items()} for x in row]
@@ -212,7 +212,7 @@ def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], MultiPoly]:
     ]
     pivots, minor = _expand_by_minors(work)
     factor = Fraction(1, scale ** len(pivots))
-    return tuple(pivots), MultiPoly(num_vars, {unpack(e): c * factor for e, c in minor.items()})
+    return tuple(pivots), poly.MultiPoly(num_vars, {unpack(e): c * factor for e, c in minor.items()})
 
 
 def _expand_by_minors(work: list[list[dict]]) -> tuple[list[int], dict]:
@@ -239,6 +239,7 @@ def _expand_by_minors(work: list[list[dict]]) -> tuple[list[int], dict]:
     terms are held.
     """
     budget = _EXPANSION_TERMS
+    mul_add = poly._mul_add
     minors: dict[int, dict] = {0: {0: 1}}
     kept = []
     for c in range(len(work)):
@@ -251,7 +252,7 @@ def _expand_by_minors(work: list[list[dict]]) -> tuple[list[int], dict]:
                     continue
                 out = grown.setdefault(mask | bit, {})
                 size -= len(out)
-                _mul_add(out, entry, minor, -1 if (mask >> i).bit_count() & 1 else 1)
+                mul_add(out, entry, minor, -1 if (mask >> i).bit_count() & 1 else 1)
                 size += len(out)
                 if size > budget:
                     raise ValueError(f"expansion by minors passed its budget of {budget} terms")

@@ -18,11 +18,10 @@ from heapq import heapify, heappop, heappush
 from math import comb, prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import MAX_DIGITS, MAX_LENGTH, PolyParseError
+from .errors import _EVALUATE_BITS, MAX_DIGITS, MAX_LENGTH, PolyParseError
 
 Exponents = tuple[int, ...]
 
-_EVALUATE_BITS = 1 << 22
 _COMPOSE_TERMS = 1 << 20
 
 

@@ -402,10 +402,12 @@ def test_exit_two_on_generic_rank_below_two(capsys):
         (("nonsurj", "--betti", "1", "--r", "4", "--d", "-1"), "dimension must be non-negative"),
         (("torsion", "--betti", "1", "--r", "-1", "--d", "0"), "rank must be positive"),
         (("hessian", "x0^2", "--vars", "x0,x0"), "duplicate variable names"),
+        (("hessian", "0", "--vars", "x0"), "zero polynomial has no Hessian form"),
     ],
     ids=[
         "no-points", "point-length", "malformed-betti", "negative-fiber-dim",
         "negative-degree", "nonsurj-rank", "nonsurj-dim", "torsion-rank", "duplicate-vars",
+        "zero-hessian",
     ],
 )
 def test_exit_two_names_the_refused_argument(capsys, argv, message):
@@ -468,6 +470,14 @@ def test_closed_stdout_exits_one_without_traceback():
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_stdout_closed_before_start_exits_one_with_one_line():
+    # As ``symdeg quad-betti 6 >&-``: with fd 1 closed, sys.stdout is None.
+    close_and_exec = "import os, sys; os.close(1); os.execv(sys.executable, sys.argv[1:])"
+    done = run_python("-c", close_and_exec, sys.executable, "-m", "symdeg.cli", "quad-betti", "6")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: cannot write the report: standard output is closed\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
@@ -1143,6 +1153,26 @@ def test_cli_import_loads_no_dataclasses_and_every_traced_module():
     done = run_python("-c", code)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "[]\n[]\n"
+
+
+def test_submodules_run_only_when_a_command_uses_them():
+    # A module that has run is a plain module again; ``type`` does not load one.
+    code = (
+        "import sys, types, symdeg.cli\n"
+        "names = ('bounds', 'dualvariety', 'errors', 'hessian', 'linalg', 'poly', 'quadrics')\n"
+        "ran = lambda: [m for m in names if type(sys.modules['symdeg.' + m]) is types.ModuleType]\n"
+        "print(ran())\n"
+        "symdeg.cli.main(['bounds', 'replay', '4', '3', '2'])\n"
+        "print(ran())\n"
+        "getattr(sys.modules['symdeg.hessian'], 'build_hessian')\n"
+        "print(ran())\n"
+    )
+    done = run_python("-c", code)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert lines[0] == "['errors']"
+    assert lines[-2] == "['bounds', 'errors', 'linalg', 'quadrics']"
+    assert lines[-1] == "['bounds', 'errors', 'hessian', 'linalg', 'poly', 'quadrics']"
 
 
 # -- public surface ---------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Every internal re-check fires once what it re-checks is broken.
 
-Each case breaks one name that a module imports, or hands a re-check an
-``AdaptedForm`` changed with ``_replace``, and pins the exact message
-of the ``InternalCheckError`` that results.  The Fermat cubic at
-(1, -1, 0, 0) is adapted so that its form holds X0^2*X3 with
-coefficient 1.
+Each case breaks one name that a module imports, or shadows a builtin
+it calls, or hands a re-check an ``AdaptedForm`` changed with
+``_replace``, and pins the exact message of the ``InternalCheckError``
+that results.  The Fermat cubic at (1, -1, 0, 0) is adapted so that
+its form holds X0^2*X3 with coefficient 1.
 """
+
+import builtins
 
 import pytest
 
@@ -44,6 +46,17 @@ def plus_one(matrix):
     return tuple(tuple(x + 1 for x in row) for row in matrix)
 
 
+def shifted_variables(cls):
+    """``cls`` whose ``variable(i, n)`` is variable i + 1 (mod n)."""
+
+    class Shifted(cls):
+        @staticmethod
+        def variable(i, n):
+            return cls.variable((i + 1) % n, n)
+
+    return Shifted
+
+
 # (module, name, replacement built from the original, call, message); a
 # case with no module breaks nothing and passes a changed AdaptedForm.
 CASES = {
@@ -56,6 +69,11 @@ CASES = {
         dualvariety, "compose_linear", lambda compose: lambda p, t: without_lead(compose(p, t)),
         lambda: adapt_coordinates(F, P),
         "transverse direction lost the leading coefficient",
+    ),
+    "shifted_variables": (
+        dualvariety, "MultiPoly", shifted_variables,
+        lambda: adapt_coordinates(F, P),
+        "normal-form pieces do not reassemble the adapted form",
     ),
     "compose_plus_x0_cubed": (
         dualvariety, "compose_linear", lambda compose: lambda p, t: compose(p, t) + X0**3,
@@ -118,6 +136,18 @@ CASES = {
         lambda: smith_normal_form([[2]]),
         "Smith factorization does not multiply back",
     ),
+    # Reversed, the loop over diagonal positions finishes the zero block
+    # at (1, 1) first, and the diagonal is read back as [0, 1].
+    "reversed_range": (
+        linalg, "range", lambda rng: lambda *args: reversed(rng(*args)),
+        lambda: smith_normal_form([[1, 0], [0, 0]]),
+        "zero precedes nonzero on Smith diagonal",
+    ),
+    "any_false": (
+        linalg, "any", lambda _: lambda it: False,
+        lambda: smith_normal_form([[2, 0], [0, 3]]),
+        "Smith diagonal divisibility chain broken",
+    ),
     "divides": (
         hessian, "divides", lambda divides: lambda f, m: m,
         lambda: hypersurface_rank_certificate(build_hessian(F)),
@@ -130,7 +160,8 @@ CASES = {
 def test_internal_check_fires(case, monkeypatch):
     module, name, breaking, call, message = CASES[case]
     if module is not None:
-        monkeypatch.setattr(module, name, breaking(getattr(module, name)))
+        original = getattr(module, name, getattr(builtins, name, None))
+        monkeypatch.setattr(module, name, breaking(original), raising=False)
     with pytest.raises(InternalCheckError) as caught:
         call()
     assert str(caught.value) == message

@@ -316,7 +316,7 @@ def test_expansion_minors_reach_size_times_delta(size, delta, monkeypatch):
         return found
 
     expand = linalg._expand_by_minors
-    monkeypatch.setattr(linalg, "_packing", recorded)
+    monkeypatch.setattr(poly, "_packing", recorded)
     monkeypatch.setattr(linalg, "_expand_by_minors", checked)
     rows = [
         [{_x(i, delta, size): 1} if i == j else {_x(0, 0, size): 1} for j in range(size)]
