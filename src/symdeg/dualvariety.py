@@ -172,17 +172,14 @@ def block_decompose(af: AdaptedForm) -> BlockDecomposition:
     big_n = n - 1
     d = af.degree
 
-    a = [
-        [
-            evaluate(
-                differentiate(differentiate(af.g, i), j), [Fraction(0)] * n
-            )
-            for j in range(1, big_n)
-        ]
-        for i in range(1, big_n)
-    ]
-    b = [af.ell.coefficient(tuple(1 if k == i else 0 for k in range(n))) for i in range(1, big_n)]
-    l_n = af.ell.coefficient(tuple(1 if k == big_n else 0 for k in range(n)))
+    def monomial(*indices: int) -> tuple[int, ...]:
+        return tuple(map(indices.count, range(n)))
+
+    # A is the Hessian of the quadratic g: its coefficients, doubled on the diagonal.
+    middle = range(1, big_n)
+    a = [[(1 + (i == j)) * af.g.coefficient(monomial(i, j)) for j in middle] for i in middle]
+    b = [af.ell.coefficient(monomial(i)) for i in middle]
+    l_n = af.ell.coefficient(monomial(big_n))
 
     corner = Fraction(d - 1)
     assembled = [[Fraction(0)] * n for _ in range(n)]
@@ -218,8 +215,7 @@ def second_order_implicit(af: AdaptedForm) -> list[list[Fraction]]:
     variables weigh 1, XN weighs 2) gives one linear equation per
     quadratic monomial, with the same nonzero leading coefficient
     multiplying every unknown.  The result is checked against -a/2 from
-    the block decomposition, which reads the same numbers through the
-    differentiation route.
+    the block decomposition, which reads the same numbers from g.
     """
     n = af.num_vars
     big_n = n - 1

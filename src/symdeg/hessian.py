@@ -4,8 +4,8 @@ The form attached to f is the symmetric matrix of second partials; its
 entries are homogeneous of degree d-2, so the rank at a projective point
 does not depend on the chosen lift.  Pointwise ranks (``rank_at``,
 ``stratify``) use that freedom: the point is replaced by its primitive
-integer lift, the Hessian by D times itself (D clearing its coefficient
-denominators), and the rank is one integer Bareiss elimination.
+integer lift, the Hessian by its primitive integer multiple (both from
+``poly._primitive``), and the rank is one integer Bareiss elimination.
 ``evaluate_hessian`` keeps the rational matrix for callers that need its
 values.  Generic ranks (over the ambient space and over the hypersurface
 f = 0) are certified symbolically by an explicit minor.  The ambient
@@ -18,12 +18,13 @@ search tries C(n, k) index sets per size instead of C(n, k)^2.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import _EVALUATE_BITS, InternalCheckError, check_length
 from .linalg import _bareiss, _colex_subsets, _pivot_columns_poly, det_poly
-from .poly import MultiPoly, _extra_bits, differentiate, divides, evaluate, homogeneous_degree
+from .poly import (
+    MultiPoly, _extra_bits, _primitive, differentiate, divides, evaluate, homogeneous_degree,
+)
 
 Point = Sequence[Fraction | int]
 
@@ -93,28 +94,17 @@ _Term = tuple[int, tuple[tuple[int, int], ...]]
 
 
 def _integer_plan(h: HessianForm) -> list[list[_Term]]:
-    """The upper triangle of D*H in row order, D the lcm of its denominators.
+    """The upper triangle of c*H in row order, c*H the primitive multiple of H.
 
     Each entry is a list of (integer coefficient, ((variable, exponent),
     ...)) pairs, zero exponents left out.
     """
     upper = [e for i, row in enumerate(h.hessian) for e in row[i:]]
-    scale = lcm(*(c.denominator for e in upper for c in e.terms.values()))
+    coeffs = iter(_primitive(c for e in upper for c in e.terms.values())[1])
     return [
-        [
-            (c.numerator * (scale // c.denominator), tuple((v, k) for v, k in enumerate(exps) if k))
-            for exps, c in e.terms.items()
-        ]
+        [(next(coeffs), tuple((v, k) for v, k in enumerate(exps) if k)) for exps in e.terms]
         for e in upper
     ]
-
-
-def _primitive_lift(coords: Sequence[Fraction]) -> list[int]:
-    """The primitive integer vector on the line through nonzero ``coords``."""
-    scale = lcm(*(c.denominator for c in coords))
-    ints = [c.numerator * (scale // c.denominator) for c in coords]
-    g = gcd(*ints)
-    return [x // g for x in ints]
 
 
 def _integer_rank(h: HessianForm, plan: list[list[_Term]], coords: Sequence[Fraction]) -> int:
@@ -123,8 +113,8 @@ def _integer_rank(h: HessianForm, plan: list[list[_Term]], coords: Sequence[Frac
     Soundness.  Let q be the primitive integer lift of the point, q =
     lambda*p with lambda a nonzero rational.  The entries of H are
     homogeneous of degree d-2, so H(q) = lambda^(d-2) H(p); and ``plan``
-    holds D*H with D the nonzero lcm of the coefficient denominators.
-    The integer matrix D*H(q) is therefore a nonzero multiple of H(p), and
+    holds c*H, c the nonzero rational of ``poly._primitive``.
+    The integer matrix c*H(q) is therefore a nonzero multiple of H(p), and
     has the same rank over Q.  That rank is the pivot count of the one
     Bareiss elimination, whose every division is checked to be exact
     (``linalg._bareiss``); nothing is decided modulo a prime.
@@ -135,7 +125,7 @@ def _integer_rank(h: HessianForm, plan: list[list[_Term]], coords: Sequence[Frac
     before any power is taken.  Every term has degree d-2, so when
     (d-2)*max(b_i - 1) is within budget no term is checked.
     """
-    lift = _primitive_lift(coords)
+    lift = _primitive(coords)[1]
     if (h.degree - 2) * (max(map(abs, lift)).bit_length() - 1) > _EVALUATE_BITS:
         extra = [_extra_bits(x) for x in lift]
         for terms in plan:
@@ -157,8 +147,8 @@ def _integer_rank(h: HessianForm, plan: list[list[_Term]], coords: Sequence[Frac
 def rank_at(h: HessianForm, p: Point) -> int:
     """Rank of the form at a nonzero point, exact and lift-independent.
 
-    Computed over Z: H at the primitive integer lift of p, scaled by the
-    lcm D of the coefficient denominators, is a nonzero multiple of H(p)
+    Computed over Z: the primitive integer multiple of H at the primitive
+    integer lift of p is a nonzero multiple of H(p)
     (the entries are homogeneous), so it has the same rank, and that rank
     is the pivot count of an integer Bareiss elimination with every
     division checked exact.  See ``_integer_rank``.
@@ -294,8 +284,8 @@ class RankStratification(NamedTuple):
 def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:
     """Bucket the points by the exact rank of the form, in input order.
 
-    The integer plan of D*H is built once; each point's rank is then that
-    of D*H at its primitive integer lift, a nonzero multiple of H at the
+    The integer plan of c*H is built once; each point's rank is then that
+    of c*H at its primitive integer lift, a nonzero multiple of H at the
     point (homogeneous entries), found by integer Bareiss with every
     division checked exact.  See ``_integer_rank``.
     """

@@ -5,18 +5,19 @@ Matrices are plain lists of rows.  Three entry kinds appear: Fraction
 and MultiPoly (symbolic matrices such as Hessians).  Everything here is
 exact; ranks and normal forms are certificates, not estimates.
 
-Over Q or Q[x] a matrix is first scaled by the lcm D of its
-denominators into Z or Z[x], and a determinant of the scaled n x n
-matrix is D^n times the one asked for.  Over Z one fraction-free
+Over Q or Q[x] a matrix m is first replaced by its primitive multiple
+c*m in Z or Z[x] (``poly._primitive``), and a determinant of the scaled
+n x n matrix is c^n times the one asked for.  Over Z one fraction-free
 (Bareiss) routine computes every rank and determinant: it returns its
 pivot columns and the sign of its row swaps, so a rank is the number of
-pivots, and a determinant is sign / D^n times the last pivot at full
-rank, 0 below it.  Over Z[x], where every monomial is packed into one
-int (``poly._packing``), expansion by minors finds the same pivot
-columns S and the minor on S x S with products of an entry and a minor
-only, and no division; a polynomial matrix whose entries are all constant is
-an integer matrix and goes to Bareiss.  Only the Smith normal form, which
-needs unimodular row and column operations, keeps a loop of its own.
+pivots, and a determinant is sign / c^n times the last pivot at full
+rank, 0 below it (``_rational_pivots``).  Over Z[x], where every monomial
+is packed into one int (``poly._packing``), expansion by minors finds the
+same pivot columns S and the minor on S x S with products of an entry and
+a minor only, and no division; a polynomial matrix whose entries are all
+constant is a rational matrix and goes to Bareiss.  Only the Smith normal
+form, which needs unimodular row and column operations, keeps a loop of
+its own; it and ``cokernel`` are all that never load ``poly``.
 
 Determinism matters for golden tests: pivots are always the first
 admissible entry in row order, and minor searches take index sets in
@@ -26,7 +27,6 @@ colexicographic order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from . import poly
@@ -118,43 +118,34 @@ def _bareiss(work: list[list[int]]) -> tuple[list[int], int]:
 # -- rank and determinant over Q ------------------------------------------------
 
 
-def _int_matrix(m: RatMatrix) -> tuple[list[list[int]], int]:
-    """``m`` scaled into Z by the lcm D of all its denominators, and D.
+def _rational_pivots(m: RatMatrix) -> tuple[list[int], Fraction]:
+    """Pivot columns of ``m`` over Q, and det m when m is square of full rank, else 0.
 
-    Entries other than int and Fraction (floats, say) go through ``Fraction``.
+    The one Bareiss driver: ``_bareiss`` eliminates the primitive integer
+    multiple c*m (``poly._primitive``), which has the same pivot columns,
+    and at full rank det m is sign / c^n times the last pivot.  The 0 x 0
+    matrix gives ([], 1).
     """
-    exact = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in m]
-    scale = lcm(*(x.denominator for row in exact for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in exact], scale
+    rows, cols = matrix_dims(m)
+    scale, ints = poly._primitive(x for row in m for x in row)
+    work = [ints[i * cols : (i + 1) * cols] for i in range(rows)]
+    pivots, sign = _bareiss(work)
+    if rows != cols or len(pivots) < rows:
+        return pivots, Fraction(0)
+    return pivots, Fraction(sign * work[-1][-1] if rows else 1) / scale**rows
 
 
 def rank_rational(m: RatMatrix) -> int:
-    """Rank over Q: the number of pivots of integer Bareiss elimination.
-
-    The matrix is first scaled into Z by one common denominator, which
-    does not change the rank; the Bareiss update keeps all intermediate
-    values integral, and every interior division is checked to be exact.
-    """
-    matrix_dims(m)
-    work, _ = _int_matrix(m)
-    return len(_bareiss(work)[0])
+    """Rank over Q: the pivot count of ``_rational_pivots``, each Bareiss division checked exact."""
+    return len(_rational_pivots(m)[0])
 
 
 def det_rational(m: RatMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix.
-
-    Integer Bareiss elimination of D*m, D the lcm of all denominators:
-    at full rank det m is sign / D^n times the last pivot, as in
-    ``det_poly``; otherwise it is 0.
-    """
+    """Exact determinant of a square rational matrix, from ``_rational_pivots``."""
     rows, cols = matrix_dims(m)
     if rows != cols:
         raise ValueError("determinant needs a square matrix")
-    if rows == 0:
-        return Fraction(1)
-    work, scale = _int_matrix(m)
-    pivots, sign = _bareiss(work)
-    return Fraction(sign * work[-1][-1], scale**rows) if len(pivots) == rows else Fraction(0)
+    return _rational_pivots(m)[1]
 
 
 # -- symbolic minors ----------------------------------------------------------
@@ -169,49 +160,43 @@ def det_poly(m: PolyMatrix) -> poly.MultiPoly:
     rows, cols = matrix_dims(m)
     if rows != cols:
         raise ValueError("determinant needs a square matrix")
-    if rows == 0:
-        return poly.MultiPoly.constant(1, _shared_num_vars(m))
     pivots, minor = _pivot_columns_poly(m)
     return minor if len(pivots) == rows else poly.MultiPoly.zero(minor.num_vars)
 
 
 def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], poly.MultiPoly]:
-    """Pivot columns S of a nonempty square ``m`` over Z[x], and det m[S, S].
+    """Pivot columns S of a square ``m`` over Q[x], and det m[S, S].
 
     The pivot columns are the greedy independent columns: column c is one
     exactly when it is not a Q(x)-combination of the columns before it.
-    The matrix is scaled once by the lcm D of all coefficient
-    denominators into Z[x], and det(D*M[S, S]) = D^r * det M[S, S], r = |S|.
+    M is replaced once by its primitive multiple c*M in Z[x]
+    (``poly._primitive``), and det(c*M[S, S]) = c^r * det M[S, S], r = |S|.
 
     Expansion by minors (``_expand_by_minors``) finds both, on packed
     integer term dicts, with terms of degree at most n*delta (delta the
     largest entry degree; the packing bound) and no division; only the
-    minor is unpacked.  When delta is 0 the scaled matrix is an integer
-    one, and integer Bareiss (``_bareiss``) finds the same columns in
+    minor is unpacked.  When delta is 0 the matrix is a rational one, and
+    integer Bareiss (``_rational_pivots``) finds the same columns in
     polynomial time, where the expansion's 2^n row sets would not finish
     for a quadric in a few dozen variables; below full rank one r x r
-    rational determinant gives the minor.
+    rational determinant gives the minor.  The 0 x 0 matrix gives the
+    constant 1.
     """
     num_vars = _shared_num_vars(m)
     n = len(m)
     delta = max((x.total_degree() for row in m for x in row if x), default=0)
     if not delta:
         consts = [[x.terms.get((0,) * num_vars, 0) for x in row] for row in m]
-        work, scale = _int_matrix(consts)
-        pivots, sign = _bareiss(work)
-        if len(pivots) == n:
-            det = Fraction(sign * work[-1][-1], scale**n)
-        else:
-            det = det_rational([[consts[i][j] for j in pivots] for i in pivots])
+        pivots, det = _rational_pivots(consts)
+        if len(pivots) < n:
+            det = _rational_pivots([[consts[i][j] for j in pivots] for i in pivots])[1]
         return tuple(pivots), poly.MultiPoly.constant(det, num_vars)
     pack, unpack, _ = poly._packing(num_vars, n * delta)
-    scale = lcm(*(c.denominator for row in m for x in row for c in x.terms.values()))
-    work = [
-        [{pack(e): c.numerator * (scale // c.denominator) for e, c in x.terms.items()} for x in row]
-        for row in m
-    ]
+    scale, ints = poly._primitive(c for row in m for x in row for c in x.terms.values())
+    coeffs = iter(ints)
+    work = [[{pack(e): next(coeffs) for e in x.terms} for x in row] for row in m]
     pivots, minor = _expand_by_minors(work)
-    factor = Fraction(1, scale ** len(pivots))
+    factor = 1 / scale ** len(pivots)
     return tuple(pivots), poly.MultiPoly(num_vars, {unpack(e): c * factor for e, c in minor.items()})
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, prod
+from math import comb, gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import _EVALUATE_BITS, MAX_DIGITS, MAX_LENGTH, PolyParseError
@@ -363,9 +363,10 @@ def homogeneous_degree(p: MultiPoly) -> Optional[int]:
 def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
     """Quotient q with m = q*f, or None when f does not divide m.
 
-    Long division by the single divisor f under the graded-lex order,
-    with ``Fraction`` coefficients (see ``_divide_terms``).  Membership
-    in a principal ideal is decided by remainder zero.  In a product the
+    Long division by the single divisor f under the graded-lex order, on
+    the primitive integer multiples of f and m (``_primitive``; see
+    ``_divide_terms``), its quotient scaled back.  Membership in a
+    principal ideal is decided by remainder zero.  In a product the
     degree in each variable adds, and so does the lowest power of it, so
     every term of q has exponents between floor_i = low_i(m) - low_i(f)
     and ceiling_i = high_i(m) - high_i(f); a division that needs one
@@ -387,23 +388,44 @@ def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
     degree = max(sum(ceiling), *map(sum, (*f.terms, *m.terms)))
     pack, unpack, guard = _packing(f.num_vars, degree)
     box = pack(tuple(floor)), pack(tuple(ceiling))
-    quotient = _divide_terms(_packed(f.terms, pack), _packed(m.terms, pack), guard, box)
+    f_scale, f_ints = _primitive(f.terms.values())
+    m_scale, m_ints = _primitive(m.terms.values())
+    quotient = _divide_terms(
+        dict(zip(map(pack, f.terms), f_ints)), dict(zip(map(pack, m.terms), m_ints)), guard, box
+    )
     if quotient is None:
         return None
-    return MultiPoly(f.num_vars, {unpack(e): k for e, k in quotient.items()})
+    factor = f_scale / m_scale
+    return MultiPoly(f.num_vars, {unpack(e): k * factor for e, k in quotient.items()})
 
 
 # -- term-dict kernel ----------------------------------------------------------
 #
-# Bare ``dict[int, coeff]`` maps with nonzero int or Fraction coefficients,
-# for inner loops that would otherwise build and re-validate a
-# ``MultiPoly`` per operation.  Each monomial is packed into
-# one int by ``_packing`` (Monagan and Pearce, CASC 2007), so a product of
-# monomials is an int sum and the graded-lex order is the int order.
-# Callers pack on the way in and unpack on the way out; ``MultiPoly.terms``
-# keeps its exponent tuples.
+# Bare ``dict[int, coeff]`` maps with nonzero int coefficients from
+# ``_primitive`` (``MultiPoly.__mul__`` passes Fractions), for inner loops
+# that would otherwise build and re-validate a ``MultiPoly`` per
+# operation.  Each monomial is packed into one int by ``_packing``
+# (Monagan and Pearce, CASC 2007), so a product of monomials is an int
+# sum and the graded-lex order is the int order.  Callers pack on the way
+# in and unpack on the way out; ``MultiPoly.terms`` keeps its exponent tuples.
 
 _Terms = dict[int, Fraction | int]
+
+
+def _primitive(values: Iterable[Fraction | int]) -> tuple[Fraction, list[int]]:
+    """(c, ints): c a positive rational, and ints = c*values integers with gcd 1.
+
+    The one step from Q to Z: an empty or all-zero input gives c = 1, and
+    entries other than int and ``Fraction`` (floats, say) go through
+    ``Fraction``.  A nonzero constant factor changes no rank, no greedy
+    pivot column and no divisibility, and an n x n determinant scales by
+    c^n, so every exact kernel runs on these ints and scales back.
+    """
+    exact = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    scale = lcm(*(x.denominator for x in exact))
+    ints = [x.numerator * (scale // x.denominator) for x in exact]
+    content = gcd(*ints) or 1
+    return Fraction(scale, content), [x // content for x in ints]
 
 
 def _packing(
@@ -459,31 +481,33 @@ def _mul_add(out: _Terms, a: _Terms, b: _Terms, sign: int) -> None:
 
 
 def _divide_terms(f: _Terms, m: _Terms, guard: int, box: tuple[int, int]) -> Optional[_Terms]:
-    """Quotient q with m = q*f over Q, or None when f does not divide m.
+    """Quotient q with m = q*f, or None when f does not divide m over Q.
 
-    ``f`` is nonzero, and the coefficients are the ``Fraction``s that
-    ``divides`` passes, so every coefficient quotient exists.  Keys are
-    packed by one ``_packing`` whose ``guard`` is passed, and whose
-    degree bound holds for f and m: every remainder term lies below a
-    term already in it, and every quotient term divides one, so none
-    exceeds the total degree of m and the mask test below is exact.
+    ``f`` is nonzero and primitive and ``m`` is in Z[x], as ``divides``
+    passes them.  Keys are packed by one ``_packing`` whose ``guard`` is
+    passed, and whose degree bound holds for f and m: every remainder term
+    lies below a term already in it, and every quotient term divides one,
+    so none exceeds the total degree of m and the mask test below is
+    exact.
 
     Long division under the graded-lex order, in place on one remainder
-    dict: each step subtracts t*f, t = LT(r)/LT(f), touching only the
-    |f| terms it hits and dropping those that cancel.  A heap of pending
+    dict: each step subtracts t*f, t = LT(r)/LT(f), touching only the |f|
+    terms it hits and dropping those that cancel.  A heap of pending
     monomials gives LT(r) (Monagan and Pearce, J. Symb. Comput. 2011), so
     a step costs O(|f| log |r|), not a scan of the remainder.  A monomial
     is pushed when it enters the remainder; one that cancels stays in the
     heap and is skipped when popped (lazy deletion).  The t's are exactly
     q's terms, and with one divisor the first leading term that LT(f)
     fails to divide already lands in the remainder (every later t*f lies
-    below it in the order), so that failure ends the division.  Packed
-    ints order as ``_grlex_key``, so leading terms, and with them the
-    early None, are those of the exponent-tuple order.  ``box``, packed
-    (floor, ceiling) within the same bound, holds every term of q when f
-    divides m; a quotient term outside it, found by the same mask test,
-    also gives None.  Past ``MAX_LENGTH`` quotient terms ValueError is
-    raised.
+    below it in the order), so that failure ends the division.  By Gauss's
+    lemma, as f is primitive and m in Z[x], q lies in Z[x] when f divides
+    m; so a t with a nonzero ``divmod`` remainder ends it too, and until
+    then r stays in Z[x].  Packed ints order as ``_grlex_key``, so leading
+    terms, and with them the early None, are those of the exponent-tuple
+    order.  ``box``, packed (floor, ceiling) within the same bound, holds
+    every term of q when f divides m; a quotient term outside it, found by
+    the same mask test, also gives None.  Past ``MAX_LENGTH`` quotient
+    terms ValueError is raised.
     """
     f_key = max(f)
     f_coeff = f[f_key]
@@ -501,7 +525,9 @@ def _divide_terms(f: _Terms, m: _Terms, guard: int, box: tuple[int, int]) -> Opt
         diff = r_key + offset
         if diff & guard != guard:
             return None
-        t = coeff / f_coeff
+        t, rem = divmod(coeff, f_coeff)
+        if rem:
+            return None
         diff -= guard
         if ((diff + guard - box[0]) & (box[1] + guard - diff) & guard) != guard:
             return None

@@ -271,11 +271,12 @@ def test_integer_rank_matches_rational_rank(form_and_point, lam):
 
 
 def test_primitive_lift():
-    from symdeg.hessian import _primitive_lift
+    from symdeg.poly import _primitive
 
-    assert _primitive_lift([Fraction(1, 2), Fraction(-1, 2)]) == [1, -1]
-    assert _primitive_lift([Fraction(0), Fraction(4, 6), Fraction(2)]) == [0, 1, 3]
-    assert _primitive_lift([Fraction(-6), Fraction(0), Fraction(9)]) == [-2, 0, 3]
+    # The pointwise rank lifts a point to _primitive(coords)[1].
+    assert _primitive([Fraction(1, 2), Fraction(-1, 2)])[1] == [1, -1]
+    assert _primitive([Fraction(0), Fraction(4, 6), Fraction(2)])[1] == [0, 1, 3]
+    assert _primitive([Fraction(-6), Fraction(0), Fraction(9)])[1] == [-2, 0, 3]
 
 
 def test_integer_plan_clears_denominators():
@@ -284,6 +285,9 @@ def test_integer_plan_clears_denominators():
     # Hessian of x0^3/7 + x0*x1^2/2 is [[6/7 x0, x1], [x1, x0]]: D = 7.
     h = build_hessian(parse_poly("1/7*x0^3 + 1/2*x0*x1^2", ["x0", "x1"]))
     assert _integer_plan(h) == [[(6, ((0, 1),))], [(7, ((1, 1),))], [(7, ((0, 1),))]]
+    # Hessian of 2/3*x0^3 + 2*x0*x1^2 is [[4 x0, 4 x1], [4 x1, 4 x0]]: the gcd 4 goes too.
+    h = build_hessian(parse_poly("2/3*x0^3 + 2*x0*x1^2", ["x0", "x1"]))
+    assert _integer_plan(h) == [[(1, ((0, 1),))], [(1, ((1, 1),))], [(1, ((0, 1),))]]
 
 
 def test_pointwise_rank_keeps_the_evaluation_budget():

@@ -16,11 +16,13 @@ from symdeg import (
     InternalCheckError,
     MultiPoly,
     adapt_coordinates,
+    ambient_rank_certificate,
     block_decompose,
     build_hessian,
     corollary_threshold,
     hypersurface_rank_certificate,
     parse_poly,
+    rank_rational,
     rank_relation_check,
     second_order_implicit,
     smith_normal_form,
@@ -147,6 +149,18 @@ CASES = {
         linalg, "any", lambda _: lambda it: False,
         lambda: smith_normal_form([[2, 0], [0, 3]]),
         "Smith diagonal divisibility chain broken",
+    ),
+    # The division in poly has its own divmod; this shadow reaches Bareiss only.
+    "divmod_remainder_one": (
+        linalg, "divmod", lambda _: lambda a, b: (a // b, 1),
+        lambda: rank_rational([[1, 2], [3, 4]]),
+        "Bareiss division was not exact",
+    ),
+    "pivot_columns_zero_minor": (
+        hessian, "_pivot_columns_poly",
+        lambda pivots: lambda m: (pivots(m)[0], MultiPoly.zero(4)),
+        lambda: ambient_rank_certificate(build_hessian(F)),
+        "principal minor on the pivot columns is zero",
     ),
     "divides": (
         hessian, "divides", lambda divides: lambda f, m: m,

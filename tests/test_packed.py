@@ -12,6 +12,7 @@ public ``MultiPoly`` arithmetic (``minors.bareiss_pivot_columns``).
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,35 @@ def test_divides_matches_tuple_reference_on_any_dividend(num_vars, degree, data)
     got = divides(MultiPoly(num_vars, f), MultiPoly(num_vars, m))
     expected = ref_divide(f, m)
     assert (None if got is None else got.terms) == expected
+
+
+def test_divides_over_z_matches_fraction_division_on_seeded_rational_forms():
+    # divides runs on the primitive integer multiples of f and m (Gauss's
+    # lemma); ref_divide is plain Fraction long division, with no heap, no
+    # packing and no degree box.  f has denominators up to 12; m = q*f is a
+    # multiple, and m - r, r one nonzero term of degree below deg f, is not.
+    rng = random.Random(25)
+
+    def form(num_vars, degree, size):
+        """Up to ``size`` terms of total degree ``degree``, coefficients with denominators."""
+        box = itertools.product(range(degree + 1), repeat=num_vars)
+        monomials = [e for e in box if sum(e) == degree]
+        return {
+            e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+            for e in rng.sample(monomials, min(size, len(monomials)))
+        }
+
+    for _ in range(200):
+        num_vars, degree = rng.randint(1, 4), rng.randint(1, 3)
+        f = form(num_vars, rng.randint(0, degree), rng.randint(0, 3))
+        f.update(form(num_vars, degree, 1))
+        q = form(num_vars, rng.randint(0, 2), rng.randint(1, 3))
+        q.update(form(num_vars, 2, 2))
+        r = form(num_vars, rng.randint(0, degree - 1), 1)
+        m = ref_mul(q, f)
+        for dividend, expected in [(m, q), (ref_sub(m, r), None)]:
+            got = divides(MultiPoly(num_vars, f), MultiPoly(num_vars, dividend))
+            assert (None if got is None else got.terms) == ref_divide(f, dividend) == expected
 
 
 def test_divides_stops_past_its_quotient_budget():

@@ -18,6 +18,7 @@ from symdeg import (
     homogeneous_degree,
     parse_poly,
 )
+from symdeg.poly import _primitive
 
 from parse_reference import parse_poly as reference_parse_poly
 
@@ -478,6 +479,31 @@ def test_divides_rejects_monomial_below_the_leading_term():
     t = MultiPoly.variable(4, 5)
     assert t.terms.keys().isdisjoint(m.terms)
     assert divides(f, m + t) is None
+
+
+def test_divides_stops_at_a_quotient_coefficient_that_is_not_an_integer():
+    # The first step of 3*x0^2 + x0*x1 by the primitive 2*x0 + x1 needs
+    # t = 3/2, which no quotient in Z[x] has.  Truncated to 1, t*f would
+    # cancel the dividend and return x0, which the degree box admits.
+    v = ["x0", "x1"]
+    assert divides(parse_poly("2*x0 + x1", v), parse_poly("3*x0^2 + x0*x1", v)) is None
+
+
+@pytest.mark.parametrize(
+    "values, scale, ints",
+    [
+        ([], 1, []),
+        ([0, Fraction(0), 0.0], 1, [0, 0, 0]),
+        ([Fraction(-4, 3), 2, Fraction(0), Fraction(-2, 9)], Fraction(9, 2), [-6, 9, 0, -1]),
+        ([0.5, Fraction(-3, 4)], 4, [2, -3]),
+        ([-6, 9], Fraction(1, 3), [-2, 3]),
+    ],
+)
+def test_primitive_scales_into_coprime_integers(values, scale, ints):
+    c, got = _primitive(values)
+    assert (c, got) == (scale, ints)
+    assert c > 0 and all(type(x) is int for x in got)
+    assert [c * Fraction(x) for x in values] == got
 
 
 def test_divides_skips_cancelled_then_recreated_terms():
