@@ -34,8 +34,7 @@ _EXPORTS = {
         "generic_rank_on_hypersurface", "hypersurface_rank_certificate", "rank_at", "stratify",
     ),
     "linalg": (
-        "FGAbelianGroup", "cokernel", "det_poly", "det_rational", "rank_rational",
-        "smith_normal_form",
+        "FGAbelianGroup", "cokernel", "det_rational", "rank_rational", "smith_normal_form",
     ),
     "poly": (
         "MultiPoly", "compose_linear", "differentiate", "divides", "evaluate",

@@ -8,22 +8,24 @@ integer lift, the Hessian by its primitive integer multiple (both from
 ``poly._primitive``), and the rank is one integer Bareiss elimination.
 ``evaluate_hessian`` keeps the rational matrix for callers that need its
 values.  Generic ranks (over the ambient space and over the hypersurface
-f = 0) are certified symbolically by an explicit minor.  The ambient
-rank comes from one expansion by minors of the whole matrix, or one
-integer elimination when its entries are constant.  The form is
-symmetric, so both witnesses are principal minors, and the hypersurface
-search tries C(n, k) index sets per size instead of C(n, k)^2.
+f = 0) are certified symbolically by an explicit minor.  The ambient rank
+comes from one expansion by minors of the whole matrix, or one integer
+elimination when its entries are constant.  The form is symmetric, so
+both witnesses are principal minors, and the hypersurface search, over Z
+past the ambient witness, tries C(n, k) index sets per size, not C(n, k)^2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, dropwhile
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import _EVALUATE_BITS, InternalCheckError, check_length
-from .linalg import _bareiss, _colex_subsets, _pivot_columns_poly, det_poly
+from .linalg import _bareiss, _colex_subsets, _expand_by_minors, _pivot_columns_poly
 from .poly import (
-    MultiPoly, _extra_bits, _primitive, differentiate, divides, evaluate, homogeneous_degree,
+    MultiPoly, _divide_terms, _extra_bits, _packed_terms, _packing, _primitive, differentiate,
+    divides, evaluate, homogeneous_degree,
 )
 
 Point = Sequence[Fraction | int]
@@ -218,12 +220,20 @@ def _reduced_caveat(f: MultiPoly) -> Optional[str]:
 def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     """Largest k with a principal k x k minor not divisible by f.
 
-    Searches downward from the certified ambient rank, principal index
+    Searches downward from the certified ambient rank r, principal index
     sets in colex order; every principal minor of every larger size has
     been checked divisible by the time a witness is returned.  Each set
-    is visited once, and the ambient witness minor is reused, not redone.
-    A division by f past ``MAX_LENGTH`` quotient terms raises ValueError:
-    one that fails may take a step per unit of degree first.
+    is visited once.  A division by f past ``MAX_LENGTH`` quotient terms
+    raises ValueError: one that fails may take a step per unit of degree.
+    S, the ambient witness, goes first, with one ``divides``: a nonzero
+    principal r-minor picks a basis of the column space, and the greedy
+    basis S precedes every other element by element in sorted order
+    (Gale, J. Combin. Theory 4, 1968), so in colex order, that of reversed
+    tuples.  Past S, c*H and f are packed once for degree max(n*delta,
+    deg f), delta the largest entry degree, which bounds each k x k minor
+    (k*delta) and its division by f.  A minor (``_expand_by_minors``) is
+    zero if it keeps fewer than k columns; c changes no divisibility, and
+    only the witness is unpacked, and divided by c^k.
 
     Soundness, for squarefree f with prime factors g.  A polynomial is
     not divisible by f exactly when it is not divisible by some g, that
@@ -252,15 +262,20 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     """
     ambient = ambient_rank_certificate(h)
     caveat = _reduced_caveat(h.f)
+    if divides(h.f, ambient.witness_minor) is None:
+        return ambient._replace(on_hypersurface=True, caveat=caveat)
+    delta = max((x.total_degree() for row in h.hessian for x in row if x), default=0)
+    packing = pack, unpack, _ = _packing(h.f.num_vars, max(h.size * delta, h.f.total_degree()))
+    _, (f,) = _packed_terms((h.f,), pack)
+    scale, flat = _packed_terms([x for row in h.hessian for x in row], pack)
     live = [i for i, row in enumerate(h.hessian) if any(row)]
-    for k in range(ambient.rank, 0, -1):
-        for s in _colex_subsets(live, k):
-            if s == ambient.witness_rows:
-                det = ambient.witness_minor
-            else:
-                det = det_poly([[h.hessian[i][j] for j in s] for i in s])
-            if not det.is_zero() and divides(h.f, det) is None:
-                return RankCertificate(k, s, s, det, on_hypersurface=True, caveat=caveat)
+    top = ambient.witness_rows[::-1]
+    sets = chain.from_iterable(_colex_subsets(live, k) for k in range(ambient.rank, 0, -1))
+    for s in dropwhile(lambda s: len(s) == ambient.rank and s[::-1] <= top, sets):
+        kept, minor = _expand_by_minors([[flat[i * h.size + j] for j in s] for i in s])
+        if len(kept) == len(s) and _divide_terms(f, minor, packing) is None:
+            witness = MultiPoly(h.f.num_vars, {unpack(e): c for e, c in minor.items()})
+            return RankCertificate(len(s), s, s, witness * scale ** -len(s), True, caveat)
     raise InternalCheckError("divisibility search found no principal minor")
 
 

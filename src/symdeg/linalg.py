@@ -12,12 +12,12 @@ n x n matrix is c^n times the one asked for.  Over Z one fraction-free
 pivot columns and the sign of its row swaps, so a rank is the number of
 pivots, and a determinant is sign / c^n times the last pivot at full
 rank, 0 below it (``_rational_pivots``).  Over Z[x], where every monomial
-is packed into one int (``poly._packing``), expansion by minors finds the
-same pivot columns S and the minor on S x S with products of an entry and
-a minor only, and no division; a polynomial matrix whose entries are all
-constant is a rational matrix and goes to Bareiss.  Only the Smith normal
-form, which needs unimodular row and column operations, keeps a loop of
-its own; it and ``cokernel`` are all that never load ``poly``.
+is packed into one int (``poly._packed_terms``), expansion by minors finds
+the same pivot columns S and the minor on S x S (det m when S is all of
+them) with products of an entry and a minor only, and no division; a
+polynomial matrix of constant entries goes to Bareiss.  Only the Smith
+normal form, which needs unimodular row and column operations, keeps a
+loop of its own; it and ``cokernel`` are all that never load ``poly``.
 
 Determinism matters for golden tests: pivots are always the first
 admissible entry in row order, and minor searches take index sets in
@@ -151,26 +151,13 @@ def det_rational(m: RatMatrix) -> Fraction:
 # -- symbolic minors ----------------------------------------------------------
 
 
-def det_poly(m: PolyMatrix) -> poly.MultiPoly:
-    """Determinant of a square polynomial matrix.
-
-    From ``_pivot_columns_poly``; zero when it finds fewer pivot columns
-    than rows.
-    """
-    rows, cols = matrix_dims(m)
-    if rows != cols:
-        raise ValueError("determinant needs a square matrix")
-    pivots, minor = _pivot_columns_poly(m)
-    return minor if len(pivots) == rows else poly.MultiPoly.zero(minor.num_vars)
-
-
 def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], poly.MultiPoly]:
     """Pivot columns S of a square ``m`` over Q[x], and det m[S, S].
 
     The pivot columns are the greedy independent columns: column c is one
     exactly when it is not a Q(x)-combination of the columns before it.
     M is replaced once by its primitive multiple c*M in Z[x]
-    (``poly._primitive``), and det(c*M[S, S]) = c^r * det M[S, S], r = |S|.
+    (``poly._packed_terms``), and det(c*M[S, S]) = c^r * det M[S, S], r = |S|.
 
     Expansion by minors (``_expand_by_minors``) finds both, on packed
     integer term dicts, with terms of degree at most n*delta (delta the
@@ -192,10 +179,8 @@ def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], poly.MultiPoly]
             det = _rational_pivots([[consts[i][j] for j in pivots] for i in pivots])[1]
         return tuple(pivots), poly.MultiPoly.constant(det, num_vars)
     pack, unpack, _ = poly._packing(num_vars, n * delta)
-    scale, ints = poly._primitive(c for row in m for x in row for c in x.terms.values())
-    coeffs = iter(ints)
-    work = [[{pack(e): next(coeffs) for e in x.terms} for x in row] for row in m]
-    pivots, minor = _expand_by_minors(work)
+    scale, flat = poly._packed_terms([x for row in m for x in row], pack)
+    pivots, minor = _expand_by_minors([flat[i * n : (i + 1) * n] for i in range(n)])
     factor = 1 / scale ** len(pivots)
     return tuple(pivots), poly.MultiPoly(num_vars, {unpack(e): c * factor for e, c in minor.items()})
 

@@ -125,9 +125,11 @@ class MultiPoly:
         self._check_same_ring(other)
         degree = max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0)
         pack, unpack, _ = _packing(self.num_vars, degree)
+        scale, (a, b) = _packed_terms((self, other), pack)
         product: _Terms = {}
-        _mul_add(product, _packed(self.terms, pack), _packed(other.terms, pack), 1)
-        return MultiPoly(self.num_vars, {unpack(e): k for e, k in product.items()})
+        _mul_add(product, a, b, 1)
+        factor = 1 / scale**2
+        return MultiPoly(self.num_vars, {unpack(e): k * factor for e, k in product.items()})
 
     __rmul__ = __mul__
 
@@ -363,17 +365,11 @@ def homogeneous_degree(p: MultiPoly) -> Optional[int]:
 def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
     """Quotient q with m = q*f, or None when f does not divide m.
 
-    Long division by the single divisor f under the graded-lex order, on
-    the primitive integer multiples of f and m (``_primitive``; see
-    ``_divide_terms``), its quotient scaled back.  Membership in a
-    principal ideal is decided by remainder zero.  In a product the
-    degree in each variable adds, and so does the lowest power of it, so
-    every term of q has exponents between floor_i = low_i(m) - low_i(f)
-    and ceiling_i = high_i(m) - high_i(f); a division that needs one
-    outside that box stops with None.  Monomials are packed for the
-    larger total degree of f and m, or the total of ceiling, if larger.
-    A division takes one step per quotient term; past ``MAX_LENGTH`` of
-    them ValueError is raised.
+    Long division by f (``_divide_terms``) on the primitive integer
+    multiples of f and m, packed for the larger of their total degrees,
+    its quotient scaled back: membership in a principal ideal is decided
+    by remainder zero.  Past ``MAX_LENGTH`` quotient terms (one per
+    step) ValueError is raised.
     """
     if f.num_vars != m.num_vars:
         raise ValueError("mixed variable counts")
@@ -381,35 +377,26 @@ def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
         raise ValueError("division by the zero polynomial")
     if m.is_zero():
         return m
-    floor = [max(a - b, 0) for a, b in zip(map(min, zip(*m.terms)), map(min, zip(*f.terms)))]
-    ceiling = [a - b for a, b in zip(map(max, zip(*m.terms)), map(max, zip(*f.terms)))]
-    if any(c < lo for c, lo in zip(ceiling, floor)):
-        return None
-    degree = max(sum(ceiling), *map(sum, (*f.terms, *m.terms)))
-    pack, unpack, guard = _packing(f.num_vars, degree)
-    box = pack(tuple(floor)), pack(tuple(ceiling))
-    f_scale, f_ints = _primitive(f.terms.values())
-    m_scale, m_ints = _primitive(m.terms.values())
-    quotient = _divide_terms(
-        dict(zip(map(pack, f.terms), f_ints)), dict(zip(map(pack, m.terms), m_ints)), guard, box
-    )
+    packing = pack, unpack, _ = _packing(f.num_vars, max(map(sum, (*f.terms, *m.terms))))
+    f_scale, (f_ints,) = _packed_terms((f,), pack)
+    m_scale, (m_ints,) = _packed_terms((m,), pack)
+    quotient = _divide_terms(f_ints, m_ints, packing)
     if quotient is None:
         return None
-    factor = f_scale / m_scale
-    return MultiPoly(f.num_vars, {unpack(e): k * factor for e, k in quotient.items()})
+    return MultiPoly(f.num_vars, {unpack(e): k * f_scale / m_scale for e, k in quotient.items()})
 
 
 # -- term-dict kernel ----------------------------------------------------------
 #
-# Bare ``dict[int, coeff]`` maps with nonzero int coefficients from
-# ``_primitive`` (``MultiPoly.__mul__`` passes Fractions), for inner loops
-# that would otherwise build and re-validate a ``MultiPoly`` per
+# Bare ``dict[int, int]`` maps with int coefficients only, for inner
+# loops that would otherwise build and re-validate a ``MultiPoly`` per
 # operation.  Each monomial is packed into one int by ``_packing``
 # (Monagan and Pearce, CASC 2007), so a product of monomials is an int
-# sum and the graded-lex order is the int order.  Callers pack on the way
-# in and unpack on the way out; ``MultiPoly.terms`` keeps its exponent tuples.
+# sum and the graded-lex order is the int order.  The one way in is
+# ``_packed_terms``; callers unpack and scale back on the way out.
 
-_Terms = dict[int, Fraction | int]
+_Terms = dict[int, int]
+_Packing = tuple[Callable[[Exponents], int], Callable[[int], Exponents], int]
 
 
 def _primitive(values: Iterable[Fraction | int]) -> tuple[Fraction, list[int]]:
@@ -428,9 +415,7 @@ def _primitive(values: Iterable[Fraction | int]) -> tuple[Fraction, list[int]]:
     return Fraction(scale, content), [x // content for x in ints]
 
 
-def _packing(
-    num_vars: int, degree: int
-) -> tuple[Callable[[Exponents], int], Callable[[int], Exponents], int]:
+def _packing(num_vars: int, degree: int) -> _Packing:
     """(pack, unpack, guard) for monomials of total degree at most ``degree``.
 
     A packed monomial is one int of num_vars + 1 fields, each
@@ -447,7 +432,10 @@ def _packing(
     exactly when (r + guard - f) & guard == guard, and then the quotient
     is r + guard - f - guard.  Fields compare from the top, total degree
     first and then x0, x1, ..., so ints compare as ``_grlex_key`` does.
-    The bound D is the caller's to prove for every term that can appear.
+    The bound D is the caller's to prove for every term that can appear:
+    the degree sum in ``MultiPoly.__mul__``, max(deg f, deg m) in ``divides``,
+    n*delta in ``_pivot_columns_poly`` (delta the largest entry degree) and
+    max(n*delta, deg f) in the hypersurface search.
     """
     width = degree.bit_length() + 1
     mask = (1 << width) - 1
@@ -466,8 +454,11 @@ def _packing(
     return pack, unpack, guard
 
 
-def _packed(terms: Mapping[Exponents, Fraction | int], pack: Callable) -> _Terms:
-    return {pack(e): k for e, k in terms.items()}
+def _packed_terms(polys: Sequence[MultiPoly], pack: Callable) -> tuple[Fraction, list[_Terms]]:
+    """(c, dicts): c*p packed for each p of ``polys``, one c of ``_primitive`` for all."""
+    scale, ints = _primitive(k for p in polys for k in p.terms.values())
+    coeffs = iter(ints)
+    return scale, [{pack(e): next(coeffs) for e in p.terms} for p in polys]
 
 
 def _mul_add(out: _Terms, a: _Terms, b: _Terms, sign: int) -> None:
@@ -480,35 +471,45 @@ def _mul_add(out: _Terms, a: _Terms, b: _Terms, sign: int) -> None:
             out[e] = get(e, 0) + k1 * k2
 
 
-def _divide_terms(f: _Terms, m: _Terms, guard: int, box: tuple[int, int]) -> Optional[_Terms]:
+def _divide_terms(f: _Terms, m: _Terms, packing: _Packing) -> Optional[_Terms]:
     """Quotient q with m = q*f, or None when f does not divide m over Q.
 
-    ``f`` is nonzero and primitive and ``m`` is in Z[x], as ``divides``
-    passes them.  Keys are packed by one ``_packing`` whose ``guard`` is
-    passed, and whose degree bound holds for f and m: every remainder term
-    lies below a term already in it, and every quotient term divides one,
-    so none exceeds the total degree of m and the mask test below is
-    exact.
+    ``f`` is nonzero and primitive and ``m`` nonzero in Z[x], keys packed
+    by ``packing`` for a bound D that holds for f and m: every remainder
+    term lies below a term already in it, and every quotient term divides
+    one, so none exceeds deg m and the mask test below is exact.
 
     Long division under the graded-lex order, in place on one remainder
     dict: each step subtracts t*f, t = LT(r)/LT(f), touching only the |f|
     terms it hits and dropping those that cancel.  A heap of pending
     monomials gives LT(r) (Monagan and Pearce, J. Symb. Comput. 2011), so
-    a step costs O(|f| log |r|), not a scan of the remainder.  A monomial
-    is pushed when it enters the remainder; one that cancels stays in the
-    heap and is skipped when popped (lazy deletion).  The t's are exactly
-    q's terms, and with one divisor the first leading term that LT(f)
-    fails to divide already lands in the remainder (every later t*f lies
-    below it in the order), so that failure ends the division.  By Gauss's
-    lemma, as f is primitive and m in Z[x], q lies in Z[x] when f divides
-    m; so a t with a nonzero ``divmod`` remainder ends it too, and until
-    then r stays in Z[x].  Packed ints order as ``_grlex_key``, so leading
-    terms, and with them the early None, are those of the exponent-tuple
-    order.  ``box``, packed (floor, ceiling) within the same bound, holds
-    every term of q when f divides m; a quotient term outside it, found by
-    the same mask test, also gives None.  Past ``MAX_LENGTH`` quotient
-    terms ValueError is raised.
+    a step costs O(|f| log |r|), not a scan of the remainder.  A monomial is
+    pushed when it enters the remainder; one that cancels stays in the heap
+    and is skipped when popped (lazy deletion).  The t's are exactly q's
+    terms, and with one divisor the first leading term that LT(f) fails to
+    divide already lands in the remainder (every later t*f lies below it in
+    the order), so that failure ends the division.  By Gauss's lemma, as f
+    is primitive and m in Z[x], q lies in Z[x] when f divides m; so a t with
+    a nonzero ``divmod`` remainder ends it too, and until then r stays in
+    Z[x].  Packed ints order as ``_grlex_key``, so leading terms, and with
+    them the early None, are those of the exponent-tuple order.  Past
+    ``MAX_LENGTH`` quotient terms ValueError is raised.  Degrees in each
+    variable add in a product, and so do the lowest powers, so q lies in the
+    box floor_i = low_i(m) - low_i(f) <= e_i <= high_i(m) - high_i(f) =
+    ceiling_i, read from the unpacked keys; an empty box, or a quotient term
+    t outside it, gives None.  Each bound is at most deg m <= D, so no
+    variable's field of high + guard - t or t + guard - low borrows.  Sum
+    ceiling_i can exceed D: the mask leaves out the total-degree field,
+    which bounds nothing more and, on top, can borrow from no other field.
     """
+    pack, unpack, guard = packing
+    f_exps, m_exps = [*map(unpack, f)], [*map(unpack, m)]
+    floor = [max(a - b, 0) for a, b in zip(map(min, zip(*m_exps)), map(min, zip(*f_exps)))]
+    ceiling = [a - b for a, b in zip(map(max, zip(*m_exps)), map(max, zip(*f_exps)))]
+    if any(c < lo for c, lo in zip(ceiling, floor)):
+        return None
+    low, high = pack(tuple(floor)), pack(tuple(ceiling))
+    fields = guard ^ (1 << guard.bit_length() - 1)
     f_key = max(f)
     f_coeff = f[f_key]
     rest = [(e, k) for e, k in f.items() if e != f_key]
@@ -529,7 +530,7 @@ def _divide_terms(f: _Terms, m: _Terms, guard: int, box: tuple[int, int]) -> Opt
         if rem:
             return None
         diff -= guard
-        if ((diff + guard - box[0]) & (box[1] + guard - diff) & guard) != guard:
+        if ((diff + guard - low) & (high + guard - diff) & fields) != fields:
             return None
         quotient[diff] = t
         if len(quotient) > MAX_LENGTH:

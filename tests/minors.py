@@ -1,8 +1,12 @@
 """All-minors reference search and a Bareiss reference, shared by the tests.
 
-``minor_dets`` streams every k x k minor, principal or not.  The rank
-certificates in ``symdeg.hessian`` search principal minors only, and the
-tests compare them against this plain search.  ``bareiss_pivot_columns``
+``det_poly`` is the determinant of a square polynomial matrix, read off
+``_pivot_columns_poly``.  ``minor_dets`` streams every k x k minor,
+principal or not.  The rank certificates in ``symdeg.hessian`` search
+principal minors only, and the tests compare them against this plain
+search.  ``set_by_set_search`` is the hypersurface search with one
+``_pivot_columns_poly`` and one ``divides`` per principal set, the
+reference for the packed search.  ``bareiss_pivot_columns``
 eliminates a polynomial matrix over Q[x] with public ``MultiPoly``
 arithmetic and ``divides``, the reference that ``_pivot_columns_poly``'s
 expansion by minors is compared against; it shares no kernel code with it.
@@ -12,10 +16,38 @@ from typing import Iterator
 
 import pytest
 
-from symdeg import MultiPoly, det_poly, divides, linalg
+from symdeg import MultiPoly, ambient_rank_certificate, divides, linalg
 from symdeg.linalg import (
     PolyMatrix, _bareiss, _colex_subsets, _pivot_columns_poly, _shared_num_vars, matrix_dims,
 )
+
+
+def det_poly(m: PolyMatrix) -> MultiPoly:
+    """det m of a square polynomial matrix: the minor of ``_pivot_columns_poly``
+    when every column is a pivot, and 0 otherwise."""
+    pivots, minor = _pivot_columns_poly(m)
+    return minor if len(pivots) == len(m) else MultiPoly.zero(minor.num_vars)
+
+
+def set_by_set_search(h) -> tuple[int, tuple[int, ...], MultiPoly]:
+    """(rank, witness, minor) of the hypersurface search, one set at a time.
+
+    Principal sets in colex order over the live indices, sizes descending
+    from the ambient rank; each minor comes from ``_pivot_columns_poly``,
+    except the ambient witness's, which is reused, and goes through
+    ``divides``.  The first nonzero minor that f does not divide wins.
+    """
+    ambient = ambient_rank_certificate(h)
+    live = [i for i, row in enumerate(h.hessian) if any(row)]
+    for k in range(ambient.rank, 0, -1):
+        for s in _colex_subsets(live, k):
+            if s == ambient.witness_rows:
+                minor = ambient.witness_minor
+            else:
+                minor = det_poly([[h.hessian[i][j] for j in s] for i in s])
+            if not minor.is_zero() and divides(h.f, minor) is None:
+                return k, s, minor
+    raise AssertionError("no principal minor passes")
 
 
 def bareiss_pivot_columns(m: PolyMatrix) -> tuple[tuple[int, ...], MultiPoly]:

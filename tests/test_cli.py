@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdeg import (
-    MultiPoly, PolyParseError, ambient_rank_certificate, build_hessian, det_poly, parse_poly,
+    MultiPoly, PolyParseError, ambient_rank_certificate, build_hessian, parse_poly,
 )
 from symdeg.cli import _parse_point, infer_variables, main
+
+from minors import det_poly
 
 QUARTIC = "w0^2*w3^2 - 6*w0*w1*w2*w3 + 4*w0*w2^3 + 4*w1^3*w3 - 3*w1^2*w2^2"
 FERMAT = "x0^3 + x1^3 + x2^3 + x3^3"

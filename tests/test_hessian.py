@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symdeg import (
+    HessianForm,
     InternalCheckError,
     MultiPoly,
     ambient_rank_certificate,
     build_hessian,
-    det_poly,
     differentiate,
     divides,
     evaluate,
@@ -26,7 +26,7 @@ from symdeg import (
     stratify,
 )
 
-from minors import expansion_and_bareiss, minor_dets
+from minors import det_poly, expansion_and_bareiss, minor_dets, set_by_set_search
 
 W = ["w0", "w1", "w2", "w3"]
 X = ["x0", "x1", "x2", "x3"]
@@ -560,31 +560,128 @@ def test_ambient_certificate_rejects_zero_witness_minor(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text, names, calls",
+    "text, names, searched",
     [
-        (FERMAT, X, (0, 0)),
-        (QUARTIC, W, (0, 1)),
-        ("x1^2*x3 + x3^3", X, (0, 0)),
-        ("x0^2*x1", X[:3], (0, 0)),
+        (FERMAT, X, 0),
+        (QUARTIC, W, 1),
+        ("x1^2*x3 + x3^3", X, 0),
+        ("x0^2*x1", X[:3], 0),
     ],
     ids=["fermat", "quartic", "x1^2*x3 + x3^3", "x0^2*x1"],
 )
-def test_each_principal_determinant_is_computed_at_most_once(monkeypatch, text, names, calls):
-    # (ambient, hypersurface) det_poly calls.  At every rank the ambient
-    # minor comes from the expansion itself, and the hypersurface search
-    # reuses it when it reaches the witness set: (1, 3) for x1^2*x3 + x3^3,
-    # the only 2-set that meets neither zero row 0 nor 2.
-    from symdeg import hessian
+def test_each_principal_determinant_is_computed_at_most_once(monkeypatch, text, names, searched):
+    # The ambient minor comes out of the one expansion that finds the rank,
+    # and the hypersurface search tries its witness S with that minor
+    # before it expands anything: f divides QUARTIC's full minor only.
+    # Each later set is expanded once, and S never is.
+    from symdeg import hessian, linalg
 
-    seen = []
-    monkeypatch.setattr(hessian, "det_poly", lambda m: seen.append(len(m)) or det_poly(m))
+    events = []
+    colex, search_expand, rank_expand = (
+        hessian._colex_subsets, hessian._expand_by_minors, linalg._expand_by_minors,
+    )
+
+    def sets(pool, k):
+        for s in colex(pool, k):
+            events.append(s)
+            yield s
+
+    def expanded_set(work):
+        events.append("search")
+        return search_expand(work)
+
+    def expanded_rank(work):
+        events.append("rank")
+        return rank_expand(work)
+
+    monkeypatch.setattr(hessian, "_colex_subsets", sets)
+    monkeypatch.setattr(hessian, "_expand_by_minors", expanded_set)
+    monkeypatch.setattr(linalg, "_expand_by_minors", expanded_rank)
     h = build_hessian(parse_poly(text, names))
-    counts = []
-    for certify in (ambient_rank_certificate, hypersurface_rank_certificate):
-        seen.clear()
-        certify(h)
-        counts.append(len(seen))
-    assert tuple(counts) == calls
+    assert ambient_rank_certificate(h).rank and events == ["rank"]
+    events.clear()
+    cert = hypersurface_rank_certificate(h)
+    assert events.count("rank") == 1 and events.count("search") == searched
+    tried = [events[i - 1] for i, e in enumerate(events) if e == "search"]
+    assert len(set(tried)) == len(tried)
+    assert ambient_rank_certificate(h).witness_rows not in tried
+    assert cert.witness_rows in tried or not searched
+
+
+# -- the packed search against the set-by-set reference --------------------------
+
+PAST_THE_AMBIENT_WITNESS = [
+    # S = (0, 1, 3) comes after (0, 1, 2), whose minor is zero, and f
+    # divides its minor; the answer is 2, on (0, 1).
+    parse_poly("x0*x1*x3 + x0*x2*x3", X),
+    # a rank-deficient quadric: f never divides its constant minor
+    parse_poly("x0^2 + 2*x0*x1 + x1^2 + x2*x3", [*X, "x4"]),
+]
+
+
+@pytest.mark.parametrize(
+    "f",
+    differential_inputs() + ZERO_ROW_INPUTS + PAST_THE_AMBIENT_WITNESS,
+    ids=lambda f: f.format(),
+)
+def test_packed_search_matches_the_set_by_set_reference(f):
+    h = build_hessian(f)
+    cert = hypersurface_rank_certificate(h)
+    assert (cert.rank, cert.witness_rows, cert.witness_minor) == set_by_set_search(h)
+    assert cert.witness_cols == cert.witness_rows and cert.on_hypersurface
+
+
+def test_search_goes_past_a_zero_minor_before_the_ambient_witness():
+    h = build_hessian(PAST_THE_AMBIENT_WITNESS[0])
+    ambient = ambient_rank_certificate(h)
+    assert (ambient.rank, ambient.witness_rows) == (3, (0, 1, 3))
+    assert det_poly([[h.hessian[i][j] for j in (0, 1, 2)] for i in (0, 1, 2)]).is_zero()
+    cert = hypersurface_rank_certificate(h)
+    assert (cert.rank, cert.witness_rows, cert.witness_minor) == (2, (0, 1), parse_poly("-x3^2", X))
+
+
+def test_answer_at_the_ambient_rank_on_a_set_after_the_ambient_witness():
+    # H = a*a^T + b*b^T has rank 2 with witness (0, 1), whose minor
+    # (x0^2 - x1^2)^2 the linear f divides; the next 2-set, (0, 2), has
+    # minor (x0*x3 - x1*x2)^2, which it does not.  A search that left out
+    # the sets after S at the ambient rank would answer 1 on (0,).
+    xs = [MultiPoly.variable(i, 4) for i in range(4)]
+    a, b = xs, [xs[1], xs[0], xs[3], xs[2]]
+    rows = tuple(tuple(a[i] * a[j] + b[i] * b[j] for j in range(4)) for i in range(4))
+    h = HessianForm(f=xs[0] - xs[1], hessian=rows, degree=4, ambient_dim=3)
+    assert ambient_rank_certificate(h).witness_rows == (0, 1)
+    cert = hypersurface_rank_certificate(h)
+    minor = parse_poly("x0^2*x3^2 - 2*x0*x1*x2*x3 + x1^2*x2^2", X)
+    assert (cert.rank, cert.witness_rows, cert.witness_minor) == (2, (0, 2), minor)
+    assert set_by_set_search(h) == (2, (0, 2), minor)
+
+
+def sweep_form(rng):
+    """A seeded form in 2-5 variables of degree 2-4: random, a product, a
+    square times a form, or a cone over a form in one variable less."""
+    n, degree = rng.randint(2, 5), rng.randint(2, 4)
+    kind = rng.choice(["random", "product", "square", "cone"])
+    if kind == "random":
+        return random_form(rng, n, degree)
+    if kind == "product":
+        return random_form(rng, n, 1) * random_form(rng, n, degree - 1)
+    if kind == "square":
+        a = random_form(rng, n, 1)
+        return a * a * random_form(rng, n, degree - 2)
+    g = random_form(rng, n - 1, degree) if n > 2 else random_form(rng, 1, degree)
+    return MultiPoly(n, {(*e, *[0] * (n - g.num_vars)): c for e, c in g.terms.items()})
+
+
+def test_packed_search_matches_the_set_by_set_reference_on_a_seeded_sweep():
+    rng = random.Random(26)
+    past = 0
+    for _ in range(220):
+        h = build_hessian(sweep_form(rng))
+        cert = hypersurface_rank_certificate(h)
+        expected = set_by_set_search(h)
+        assert (cert.rank, cert.witness_rows, cert.witness_minor) == expected, h.f.format()
+        past += cert.witness_rows != ambient_rank_certificate(h).witness_rows
+    assert past >= 30
 
 
 # -- stratification ------------------------------------------------------------

@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdeg import MultiPoly, det_poly, divides
+from symdeg import MultiPoly, divides
 from symdeg import linalg, poly
 from symdeg.linalg import _pivot_columns_poly
 from symdeg.errors import MAX_LENGTH
 from symdeg.poly import _packing
 
-from minors import expansion_and_bareiss
+from minors import det_poly, expansion_and_bareiss
 
 HUGE = 999999999999
 

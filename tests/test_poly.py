@@ -489,6 +489,16 @@ def test_divides_stops_at_a_quotient_coefficient_that_is_not_an_integer():
     assert divides(parse_poly("2*x0 + x1", v), parse_poly("3*x0^2 + x0*x1", v)) is None
 
 
+def test_divides_when_the_box_ceiling_sums_past_the_packing_bound():
+    # m has total degree 4, so fields are 4 bits wide, while the ceilings
+    # 3, 3, 3, 3, 3, 3 sum to 18: the box test must leave the total-degree
+    # field out, or the first quotient term already falls outside.
+    names = [f"x{i}" for i in range(6)]
+    f = parse_poly("x0 + x1", names)
+    q = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3 + x5^3", names)
+    assert divides(f, f * q) == q
+
+
 @pytest.mark.parametrize(
     "values, scale, ints",
     [
