@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import log2
 from pathlib import Path
 from typing import Optional, Sequence
@@ -178,10 +179,12 @@ def to_json(value):
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> int:
     if args.format == "json":
-        body = dict(payload)
-        body["schema"] = 1
-        body["command"] = args.command
-        print(json.dumps(body, indent=2, sort_keys=True))
+        # Batched: the text is never whole in memory, yet unbuffered stdout sees few writes.
+        body = {**payload, "schema": 1, "command": args.command}
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(body)
+        while batch := "".join(islice(chunks, 4096)):
+            print(batch, end="")
+        print()
     else:
         for line in text_lines:
             print(line)

@@ -30,9 +30,9 @@ from .poly import MultiPoly, compose_linear, differentiate, evaluate, homogeneou
 class AdaptedForm(NamedTuple):
     """f in coordinates adapted to a smooth point.
 
-    ``transform`` columns: the point lift first, then a basis of the
-    tangent directions, then one transverse direction.  After composing
-    and rescaling by ``scale``, the polynomial splits as
+    ``transform`` columns: the point lift first (ints stay ints), then a
+    basis of the tangent directions, then one transverse direction.  After
+    composing and rescaling by ``scale``, the polynomial splits as
 
         f_adapted = X0^(d-1)*XN + X0^(d-2)*(g + XN*L) + higher
 
@@ -40,7 +40,7 @@ class AdaptedForm(NamedTuple):
     ``higher`` collecting everything of lower X0-degree.
     """
 
-    transform: tuple[tuple[Fraction, ...], ...]
+    transform: tuple[tuple[Fraction | int, ...], ...]
     f_adapted: MultiPoly
     degree: int
     g: MultiPoly
@@ -53,7 +53,7 @@ class AdaptedForm(NamedTuple):
         return self.f_adapted.num_vars
 
 
-def _validated_smooth_point(f: MultiPoly, p: Point) -> tuple[list[Fraction], list[Fraction]]:
+def _validated_smooth_point(f: MultiPoly, p: Point) -> tuple[list[Fraction | int], list[Fraction]]:
     coords = _check_point(f.num_vars, p)
     if evaluate(f, coords) != 0:
         raise ValueError("point does not lie on the hypersurface")
@@ -261,7 +261,7 @@ class RankRelationReport(NamedTuple):
     rank_q: int
     rank_a: int
     holds: bool
-    transform: tuple[tuple[Fraction, ...], ...]
+    transform: tuple[tuple[Fraction | int, ...], ...]
 
 
 def rank_relation_check(f: MultiPoly, p: Point) -> RankRelationReport:

@@ -11,8 +11,8 @@ from __future__ import annotations
 # The longest list built from one integer of the input: the quad-betti
 # table, the default Betti vector of bounds replay, an inferred variable
 # list and the distinct entries of a Hessian.  Also the most quotient
-# terms of every ``divides``, each division by f in the hypersurface rank
-# search among them.
+# terms of every division (``poly._divide_terms``): each ``divides``, and
+# each principal set's division by f in the hypersurface rank search.
 MAX_LENGTH = 1 << 16
 
 

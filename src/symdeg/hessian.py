@@ -12,7 +12,7 @@ f = 0) are certified symbolically by an explicit minor.  The ambient rank
 comes from one expansion by minors of the whole matrix, or one integer
 elimination when its entries are constant.  The form is symmetric, so
 both witnesses are principal minors, and the hypersurface search, over Z
-past the ambient witness, tries C(n, k) index sets per size, not C(n, k)^2.
+from the ambient witness on, tries C(n, k) index sets per size, not C(n, k)^2.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import _EVALUATE_BITS, InternalCheckError, check_length
 from .linalg import _bareiss, _colex_subsets, _expand_by_minors, _pivot_columns_poly
 from .poly import (
     MultiPoly, _divide_terms, _extra_bits, _packed_terms, _packing, _primitive, differentiate,
-    divides, evaluate, homogeneous_degree,
+    evaluate, homogeneous_degree,
 )
 
 Point = Sequence[Fraction | int]
@@ -66,8 +66,8 @@ def build_hessian(f: MultiPoly) -> HessianForm:
     return HessianForm(f=f, hessian=rows, degree=d, ambient_dim=n - 1)
 
 
-def _check_point(n: int, p: Point) -> list[Fraction]:
-    coords = [Fraction(c) for c in p]
+def _check_point(n: int, p: Point) -> list[Fraction | int]:
+    coords = [c if type(c) is int else Fraction(c) for c in p]
     if len(coords) != n:
         raise ValueError(f"point has {len(coords)} coordinates, expected {n}")
     if all(c == 0 for c in coords):
@@ -92,24 +92,17 @@ def evaluate_hessian(h: HessianForm, p: Point) -> list[list[Fraction]]:
     return _symmetric(h.size, upper)
 
 
-_Term = tuple[int, tuple[tuple[int, int], ...]]
-
-
-def _integer_plan(h: HessianForm) -> list[list[_Term]]:
+def _integer_plan(h: HessianForm) -> list[dict]:
     """The upper triangle of c*H in row order, c*H the primitive multiple of H.
 
-    Each entry is a list of (integer coefficient, ((variable, exponent),
-    ...)) pairs, zero exponents left out.
+    Each entry is a ``poly._packed_terms`` dict, keyed not by a packed int
+    but by the sparse ((variable, exponent), ...) tuple, zero exponents left out.
     """
     upper = [e for i, row in enumerate(h.hessian) for e in row[i:]]
-    coeffs = iter(_primitive(c for e in upper for c in e.terms.values())[1])
-    return [
-        [(next(coeffs), tuple((v, k) for v, k in enumerate(exps) if k)) for exps in e.terms]
-        for e in upper
-    ]
+    return _packed_terms(upper, lambda exps: tuple((v, k) for v, k in enumerate(exps) if k))[1]
 
 
-def _integer_rank(h: HessianForm, plan: list[list[_Term]], coords: Sequence[Fraction]) -> int:
+def _integer_rank(h: HessianForm, plan: list[dict], coords: Sequence[Fraction | int]) -> int:
     """Rank of the form at checked coordinates, computed entirely over Z.
 
     Soundness.  Let q be the primitive integer lift of the point, q =
@@ -130,15 +123,14 @@ def _integer_rank(h: HessianForm, plan: list[list[_Term]], coords: Sequence[Frac
     lift = _primitive(coords)[1]
     if (h.degree - 2) * (max(map(abs, lift)).bit_length() - 1) > _EVALUATE_BITS:
         extra = [_extra_bits(x) for x in lift]
-        for terms in plan:
-            for _, factors in terms:
-                bits = sum(e * extra[v] for v, e in factors)
-                if bits > _EVALUATE_BITS:
-                    raise ValueError(f"value needs at least {bits} bits (budget {_EVALUATE_BITS})")
+        for factors in chain.from_iterable(plan):
+            bits = sum(e * extra[v] for v, e in factors)
+            if bits > _EVALUATE_BITS:
+                raise ValueError(f"value needs at least {bits} bits (budget {_EVALUATE_BITS})")
     values = []
     for terms in plan:
         total = 0
-        for coeff, factors in terms:
+        for factors, coeff in terms.items():
             for v, e in factors:
                 coeff *= lift[v] ** e
             total += coeff
@@ -225,15 +217,15 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     been checked divisible by the time a witness is returned.  Each set
     is visited once.  A division by f past ``MAX_LENGTH`` quotient terms
     raises ValueError: one that fails may take a step per unit of degree.
-    S, the ambient witness, goes first, with one ``divides``: a nonzero
-    principal r-minor picks a basis of the column space, and the greedy
-    basis S precedes every other element by element in sorted order
-    (Gale, J. Combin. Theory 4, 1968), so in colex order, that of reversed
-    tuples.  Past S, c*H and f are packed once for degree max(n*delta,
-    deg f), delta the largest entry degree, which bounds each k x k minor
-    (k*delta) and its division by f.  A minor (``_expand_by_minors``) is
-    zero if it keeps fewer than k columns; c changes no divisibility, and
-    only the witness is unpacked, and divided by c^k.
+    S, the ambient witness, goes first: a nonzero principal r-minor picks
+    a basis of the column space, and the greedy basis S precedes every
+    other element by element in sorted order (Gale, J. Combin. Theory 4,
+    1968), so in colex order, that of reversed tuples.  c*H and f are
+    packed once for degree max(n*delta, deg f), delta the largest entry
+    degree, which bounds f and each k x k minor (k*delta).  One ``_divide_terms``
+    call tests each set: S on c^r times the ambient minor, a later set on its
+    ``_expand_by_minors`` minor (zero when fewer than k columns are kept).
+    c changes no divisibility; only the witness is unpacked, divided by c^k.
 
     Soundness, for squarefree f with prime factors g.  A polynomial is
     not divisible by f exactly when it is not divisible by some g, that
@@ -261,21 +253,26 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     passes.
     """
     ambient = ambient_rank_certificate(h)
-    caveat = _reduced_caveat(h.f)
-    if divides(h.f, ambient.witness_minor) is None:
-        return ambient._replace(on_hypersurface=True, caveat=caveat)
+    r, top = ambient.rank, ambient.witness_rows
     delta = max((x.total_degree() for row in h.hessian for x in row if x), default=0)
     packing = pack, unpack, _ = _packing(h.f.num_vars, max(h.size * delta, h.f.total_degree()))
     _, (f,) = _packed_terms((h.f,), pack)
     scale, flat = _packed_terms([x for row in h.hessian for x in row], pack)
     live = [i for i, row in enumerate(h.hessian) if any(row)]
-    top = ambient.witness_rows[::-1]
-    sets = chain.from_iterable(_colex_subsets(live, k) for k in range(ambient.rank, 0, -1))
-    for s in dropwhile(lambda s: len(s) == ambient.rank and s[::-1] <= top, sets):
-        kept, minor = _expand_by_minors([[flat[i * h.size + j] for j in s] for i in s])
-        if len(kept) == len(s) and _divide_terms(f, minor, packing) is None:
-            witness = MultiPoly(h.f.num_vars, {unpack(e): c for e, c in minor.items()})
-            return RankCertificate(len(s), s, s, witness * scale ** -len(s), True, caveat)
+    sets = chain.from_iterable(_colex_subsets(live, k) for k in range(r, 0, -1))
+
+    def minors():  # (s, packed det(c*H[s, s])): S, then each later set with a nonzero one
+        lift = scale**r
+        yield top, {pack(e): int(k * lift) for e, k in ambient.witness_minor.terms.items()}
+        for s in dropwhile(lambda s: len(s) == r and s[::-1] <= top[::-1], sets):
+            kept, minor = _expand_by_minors([[flat[i * h.size + j] for j in s] for i in s])
+            if len(kept) == len(s):
+                yield s, minor
+    for s, minor in minors():
+        if _divide_terms(f, minor, packing) is None:
+            factor = 1 / scale ** len(s)
+            witness = MultiPoly(h.f.num_vars, {unpack(e): k * factor for e, k in minor.items()})
+            return RankCertificate(len(s), s, s, witness, True, _reduced_caveat(h.f))
     raise InternalCheckError("divisibility search found no principal minor")
 
 
@@ -291,9 +288,9 @@ def generic_rank_on_hypersurface(h: HessianForm) -> int:
 
 
 class RankStratification(NamedTuple):
-    """Sample points bucketed by exact rank of the form."""
+    """Sample points bucketed by exact rank of the form; int coordinates stay ints."""
 
-    buckets: dict[int, list[tuple[Fraction, ...]]]
+    buckets: dict[int, list[tuple[Fraction | int, ...]]]
 
 
 def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:
@@ -305,7 +302,7 @@ def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:
     division checked exact.  See ``_integer_rank``.
     """
     plan = _integer_plan(h)
-    buckets: dict[int, list[tuple[Fraction, ...]]] = {}
+    buckets: dict[int, list[tuple[Fraction | int, ...]]] = {}
     for p in points:
         coords = _check_point(h.size, p)
         buckets.setdefault(_integer_rank(h, plan, coords), []).append(tuple(coords))

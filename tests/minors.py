@@ -10,8 +10,11 @@ reference for the packed search.  ``bareiss_pivot_columns``
 eliminates a polynomial matrix over Q[x] with public ``MultiPoly``
 arithmetic and ``divides``, the reference that ``_pivot_columns_poly``'s
 expansion by minors is compared against; it shares no kernel code with it.
+``bareiss_mod_p`` is the same elimination on the matrix read at a point
+in Z/P, the reference for draws whose exact elimination can take minutes.
 """
 
+import random
 from typing import Iterator
 
 import pytest
@@ -91,12 +94,69 @@ def bareiss_pivot_columns(m: PolyMatrix) -> tuple[tuple[int, ...], MultiPoly]:
     return tuple(pivots), minor if len(inner) == len(pivots) else MultiPoly.zero(num_vars)
 
 
-def expansion_and_bareiss(m: PolyMatrix) -> tuple[tuple, tuple]:
-    """``_pivot_columns_poly(m)``, and ``bareiss_pivot_columns(m)``.
+# A Mersenne prime, and a seeded point in Z/P for up to three variables.
+P = (1 << 127) - 1
+_POINT_RNG = random.Random(127)
+POINT = tuple(_POINT_RNG.randrange(2, P) for _ in range(3))
 
-    The first must run integer Bareiss exactly when every entry is
-    constant, and the expansion by minors otherwise.
+
+def value_mod_p(x: MultiPoly, point) -> int:
+    """x at ``point`` in Z/P, each coefficient num/den read as num * den^-1."""
+    total = 0
+    for exps, coeff in x.terms.items():
+        term = coeff.numerator * pow(coeff.denominator, -1, P)
+        for a, e in zip(point, exps):
+            term = term * pow(a, e, P) % P
+        total += term
+    return total % P
+
+
+def bareiss_mod_p(m: PolyMatrix, point) -> tuple[tuple[int, ...], int]:
+    """``bareiss_pivot_columns(m)`` with m read at ``point`` in Z/P: the
+    pivot columns S of m(point), and det m(point)[S, S] mod P.
+
+    Reading at a point is a ring map to Z/P from the polynomials whose
+    coefficients have denominators prime to P, so det m[S, S] read at the
+    point is this determinant whenever S is right: the minor's check never
+    fails on correct code.  The pivot
+    columns of m(point) are those over Q(x) unless a nonzero minor of m,
+    of degree at most 6 * 2 * 10^12 on the test's draws, vanishes at the
+    point, a chance of about deg/P < 10^-25 (Schwartz-Zippel).
     """
+    return _bareiss_mod_p([[value_mod_p(x, point) for x in row] for row in m])
+
+
+def _bareiss_mod_p(values: list[list[int]]) -> tuple[tuple[int, ...], int]:
+    n = len(values)
+    work = [list(row) for row in values]
+    prev, pivots, sign = 1, [], 1
+    for c in range(n):
+        r = len(pivots)
+        if r == n:
+            break
+        p = next((i for i in range(r, n) if work[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            sign = -sign
+        top, inverse = work[r], pow(prev, -1, P)
+        for row in work[r + 1 :]:
+            for j in range(c + 1, n):
+                row[j] = (top[c] * row[j] - row[c] * top[j]) * inverse % P
+        prev = top[c]
+        pivots.append(c)
+    if len(pivots) == n:
+        return tuple(pivots), sign * work[-1][-1] % P if n else 1
+    if not pivots:
+        return (), 1
+    inner, minor = _bareiss_mod_p([[values[i][j] for j in pivots] for i in pivots])
+    return tuple(pivots), minor if len(inner) == len(pivots) else 0
+
+
+def expanded_pivot_columns(m: PolyMatrix) -> tuple[tuple[int, ...], MultiPoly]:
+    """``_pivot_columns_poly(m)``, which must run integer Bareiss exactly
+    when every entry is constant, and the expansion by minors otherwise."""
     calls = []
 
     def counted(*args):
@@ -108,7 +168,12 @@ def expansion_and_bareiss(m: PolyMatrix) -> tuple[tuple, tuple]:
         patch.setattr(linalg, "_bareiss", counted)
         expanded = _pivot_columns_poly(m)
     assert bool(calls) == constant
-    return expanded, bareiss_pivot_columns(m)
+    return expanded
+
+
+def expansion_and_bareiss(m: PolyMatrix) -> tuple[tuple, tuple]:
+    """``expanded_pivot_columns(m)``, and ``bareiss_pivot_columns(m)``."""
+    return expanded_pivot_columns(m), bareiss_pivot_columns(m)
 
 
 def minor_dets(

@@ -284,10 +284,10 @@ def test_integer_plan_clears_denominators():
 
     # Hessian of x0^3/7 + x0*x1^2/2 is [[6/7 x0, x1], [x1, x0]]: D = 7.
     h = build_hessian(parse_poly("1/7*x0^3 + 1/2*x0*x1^2", ["x0", "x1"]))
-    assert _integer_plan(h) == [[(6, ((0, 1),))], [(7, ((1, 1),))], [(7, ((0, 1),))]]
+    assert _integer_plan(h) == [{((0, 1),): 6}, {((1, 1),): 7}, {((0, 1),): 7}]
     # Hessian of 2/3*x0^3 + 2*x0*x1^2 is [[4 x0, 4 x1], [4 x1, 4 x0]]: the gcd 4 goes too.
     h = build_hessian(parse_poly("2/3*x0^3 + 2*x0*x1^2", ["x0", "x1"]))
-    assert _integer_plan(h) == [[(1, ((0, 1),))], [(1, ((1, 1),))], [(1, ((0, 1),))]]
+    assert _integer_plan(h) == [{((0, 1),): 1}, {((1, 1),): 1}, {((0, 1),): 1}]
 
 
 def test_pointwise_rank_keeps_the_evaluation_budget():
@@ -717,6 +717,14 @@ def test_stratify_bucket_key_matches_rank_at():
     for r, pts in strat.buckets.items():
         for p in pts:
             assert rank_at(h, p) == r
+
+
+def test_stratify_keeps_int_coordinates_and_reads_the_rest_by_fraction():
+    h = build_hessian(parse_poly("x0^3 + x1^3", ["x0", "x1"]))
+    buckets = stratify(h, [[1, True], [Fraction(1, 2), 0.5], ["1", 0]]).buckets
+    assert buckets == {2: [(1, 1), (Fraction(1, 2), Fraction(1, 2))], 1: [(1, 0)]}
+    types = [[type(c) for c in p] for r in (2, 1) for p in buckets[r]]
+    assert types == [[int, Fraction], [Fraction, Fraction], [Fraction, int]]
 
 
 def test_internal_check_error_is_runtime_error():

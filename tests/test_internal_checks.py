@@ -169,10 +169,10 @@ CASES = {
         lambda: ambient_rank_certificate(build_hessian(F)),
         "principal minor on the pivot columns is zero",
     ),
-    # f then divides the ambient witness's minor and, in the packed search
-    # after it, every other minor too.
+    # f then divides every principal minor of the packed search, the
+    # ambient witness's first.
     "divides": (
-        hessian, "divides", lambda divides: lambda f, m: m,
+        None, None, None,
         lambda: dividing_every_packed_minor(hypersurface_rank_certificate, build_hessian(F)),
         "divisibility search found no principal minor",
     ),
