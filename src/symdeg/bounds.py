@@ -65,7 +65,9 @@ def replay_main_theorem(N: int, r: int, d: int, betti: Sequence[int]) -> BoundRe
     rank, equality is impossible because the threshold group is
     torsion-free while the certificate produces 2-torsion.  A verdict
     of contradiction means the hypotheses cannot coexist, i.e. the
-    next-lower degeneracy locus must be nonempty.
+    next-lower degeneracy locus must be nonempty, if the theorem's hypotheses
+    hold: N, r and d are bare numbers here, and nothing checks that S^2 V* (x) L
+    is ample or that r is the maximum rank of the form.
     """
     if not 0 < r <= N:
         raise ValueError("need 0 < r <= N")

@@ -11,8 +11,8 @@ values.  Generic ranks (over the ambient space and over the hypersurface
 f = 0) are certified symbolically by an explicit minor.  The ambient rank
 comes from one expansion by minors of the whole matrix, or one integer
 elimination when its entries are constant.  The form is symmetric, so
-both witnesses are principal minors, and the hypersurface search, over Z
-from the ambient witness on, tries C(n, k) index sets per size, not C(n, k)^2.
+both witnesses are principal minors.  The hypersurface search starts from the
+ambient certificate and tries C(n, k) index sets per size, not C(n, k)^2.
 """
 
 from __future__ import annotations
@@ -220,12 +220,14 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     S, the ambient witness, goes first: a nonzero principal r-minor picks
     a basis of the column space, and the greedy basis S precedes every
     other element by element in sorted order (Gale, J. Combin. Theory 4,
-    1968), so in colex order, that of reversed tuples.  c*H and f are
-    packed once for degree max(n*delta, deg f), delta the largest entry
-    degree, which bounds f and each k x k minor (k*delta).  One ``_divide_terms``
-    call tests each set: S on c^r times the ambient minor, a later set on its
-    ``_expand_by_minors`` minor (zero when fewer than k columns are kept).
-    c changes no divisibility; only the witness is unpacked, divided by c^k.
+    1968), so in colex order, that of reversed tuples.  When f does not divide
+    det H[S, S] (every quadric: f of degree 2 divides no nonzero constant), the
+    ambient certificate is returned, marked on the hypersurface, and nothing is
+    packed or expanded again.  f alone (so it stays primitive), S's minor and
+    then c*H, the primitive multiple of H, are packed for degree max(n*delta,
+    deg f), delta the largest entry degree, which bounds f and every minor.  One
+    ``_divide_terms`` call tests each set, a later one on its ``_expand_by_minors``
+    minor (skipped when zero).  A nonzero constant changes no divisibility.
 
     Soundness, for squarefree f with prime factors g.  A polynomial is
     not divisible by f exactly when it is not divisible by some g, that
@@ -256,20 +258,15 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     r, top = ambient.rank, ambient.witness_rows
     delta = max((x.total_degree() for row in h.hessian for x in row if x), default=0)
     packing = pack, unpack, _ = _packing(h.f.num_vars, max(h.size * delta, h.f.total_degree()))
-    _, (f,) = _packed_terms((h.f,), pack)
+    (f,) = _packed_terms((h.f,), pack)[1]
+    if _divide_terms(f, _packed_terms((ambient.witness_minor,), pack)[1][0], packing) is None:
+        return ambient._replace(on_hypersurface=True, caveat=_reduced_caveat(h.f))
     scale, flat = _packed_terms([x for row in h.hessian for x in row], pack)
     live = [i for i, row in enumerate(h.hessian) if any(row)]
     sets = chain.from_iterable(_colex_subsets(live, k) for k in range(r, 0, -1))
-
-    def minors():  # (s, packed det(c*H[s, s])): S, then each later set with a nonzero one
-        lift = scale**r
-        yield top, {pack(e): int(k * lift) for e, k in ambient.witness_minor.terms.items()}
-        for s in dropwhile(lambda s: len(s) == r and s[::-1] <= top[::-1], sets):
-            kept, minor = _expand_by_minors([[flat[i * h.size + j] for j in s] for i in s])
-            if len(kept) == len(s):
-                yield s, minor
-    for s, minor in minors():
-        if _divide_terms(f, minor, packing) is None:
+    for s in dropwhile(lambda s: len(s) == r and s[::-1] <= top[::-1], sets):
+        kept, minor = _expand_by_minors([[flat[i * h.size + j] for j in s] for i in s])
+        if len(kept) == len(s) and _divide_terms(f, minor, packing) is None:
             factor = 1 / scale ** len(s)
             witness = MultiPoly(h.f.num_vars, {unpack(e): k * factor for e, k in minor.items()})
             return RankCertificate(len(s), s, s, witness, True, _reduced_caveat(h.f))

@@ -25,8 +25,10 @@ from symdeg import (
     rank_at,
     stratify,
 )
+from symdeg.cli import infer_variables
 
 from minors import det_poly, expansion_and_bareiss, minor_dets, set_by_set_search
+from test_cli import DENSE_QUADRIC
 
 W = ["w0", "w1", "w2", "w3"]
 X = ["x0", "x1", "x2", "x3"]
@@ -616,6 +618,10 @@ PAST_THE_AMBIENT_WITNESS = [
     parse_poly("x0*x1*x3 + x0*x2*x3", X),
     # a rank-deficient quadric: f never divides its constant minor
     parse_poly("x0^2 + 2*x0*x1 + x1^2 + x2*x3", [*X, "x4"]),
+    # f divides S's minor x0*x1*x2/4 only as the primitive x0*x1*x2: packed
+    # with one scale shared with the minor, f is 2*x0*x1*x2, the quotient
+    # 1/2 is not an integer, and the answer would be 3; it is 2, on (0, 1).
+    parse_poly("1/2*x0*x1*x2", X[:3]),
 ]
 
 
@@ -629,6 +635,39 @@ def test_packed_search_matches_the_set_by_set_reference(f):
     cert = hypersurface_rank_certificate(h)
     assert (cert.rank, cert.witness_rows, cert.witness_minor) == set_by_set_search(h)
     assert cert.witness_cols == cert.witness_rows and cert.on_hypersurface
+
+
+@pytest.mark.parametrize(
+    "text, caveat",
+    [
+        (FERMAT, None),
+        ("x0*x1^2", "f is divisible by the square of a variable: the hypersurface is not reduced"),
+        (DENSE_QUADRIC, None),
+    ],
+    ids=["fermat", "x0*x1^2", "dense quadric"],
+)
+def test_search_returns_the_ambient_certificate_when_f_does_not_divide_its_minor(
+    monkeypatch, text, caveat
+):
+    # Only f and S's minor are packed: no Hessian entry is packed or expanded.
+    from symdeg import hessian
+
+    packed, packed_terms_of = [], hessian._packed_terms
+
+    def packed_terms(polys, pack):
+        packed.append(list(polys))
+        return packed_terms_of(polys, pack)
+
+    def refuse(work):
+        raise AssertionError("expansion by minors after the ambient witness passed")
+
+    h = build_hessian(parse_poly(text, infer_variables(text)))
+    ambient = ambient_rank_certificate(h)
+    monkeypatch.setattr(hessian, "_packed_terms", packed_terms)
+    monkeypatch.setattr(hessian, "_expand_by_minors", refuse)
+    cert = hypersurface_rank_certificate(h)
+    assert cert == ambient._replace(on_hypersurface=True, caveat=caveat)
+    assert packed == [[h.f], [ambient.witness_minor]]
 
 
 def test_search_goes_past_a_zero_minor_before_the_ambient_witness():
