@@ -5,10 +5,10 @@ A polynomial in ``n`` variables is stored as a map from exponent vectors
 coefficients.  The zero polynomial is the empty map.  All arithmetic is
 exact; nothing in this module ever touches floating point.
 
-The global monomial order is graded lexicographic: monomials are compared
-by total degree first, then lexicographically on the exponent vector with
-earlier variables dominating.  Division and the canonical text form use
-this order.
+The canonical text form lists terms in graded lexicographic order (total
+degree first, then the exponent vectors lexicographically, earlier
+variables dominating).  Division uses the packed order of ``_packing``:
+lexicographic with x0 first, and so graded lex on homogeneous input.
 """
 
 from __future__ import annotations
@@ -392,7 +392,7 @@ def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
 # loops that would otherwise build and re-validate a ``MultiPoly`` per
 # operation.  Each monomial is packed into one int by ``_packing``
 # (Monagan and Pearce, CASC 2007), so a product of monomials is an int
-# sum and the graded-lex order is the int order.  The one way in is
+# sum and the lex order, x0 first, is the int order.  The one way in is
 # ``_packed_terms``; callers unpack and scale back on the way out.
 
 _Terms = dict[int, int]
@@ -416,34 +416,32 @@ def _primitive(values: Iterable[Fraction | int]) -> tuple[Fraction, list[int]]:
 
 
 def _packing(num_vars: int, degree: int) -> _Packing:
-    """(pack, unpack, guard) for monomials of total degree at most ``degree``.
+    """(pack, unpack, guard) for monomials with every exponent at most ``degree``.
 
-    A packed monomial is one int of num_vars + 1 fields, each
-    w = degree.bit_length() + 1 bits wide: the total degree on top, then
-    the exponents of x0, ..., x_{n-1}.  ``guard`` has the top bit of each
-    field set; that bit of a packed monomial stays 0.
+    A packed monomial is one int of num_vars fields, each
+    w = degree.bit_length() + 1 bits wide: the exponents of x0, ..., x_{n-1},
+    x0 on top.  ``guard`` has the top bit of each field set; that bit of a
+    packed monomial stays 0.
 
-    Soundness.  Every field of a monomial of total degree at most D is at
-    most D < 2^(w-1), so the sum of two packed monomials whose product has
-    total degree at most D is the packed product: no field carries into
-    the next.  For such r and f, each field of r + guard - f is
-    r_i - f_i + 2^(w-1), which lies in [1, 2^w), so no field borrows
-    either, and its top bit is set exactly when r_i >= f_i: f divides r
-    exactly when (r + guard - f) & guard == guard, and then the quotient
-    is r + guard - f - guard.  Fields compare from the top, total degree
-    first and then x0, x1, ..., so ints compare as ``_grlex_key`` does.
-    The bound D is the caller's to prove for every term that can appear:
-    the degree sum in ``MultiPoly.__mul__``, max(deg f, deg m) in ``divides``,
-    n*delta in ``_pivot_columns_poly`` (delta the largest entry degree) and
-    max(n*delta, deg f) in the hypersurface search.
+    Soundness.  Every exponent of a monomial is at most D < 2^(w-1), so
+    the sum of two packed monomials whose product has every exponent at
+    most D is the packed product: no field carries into the next.  For
+    such r and f, each field of r + guard - f is r_i - f_i + 2^(w-1),
+    which lies in [1, 2^w), so no field borrows either, and its top bit
+    is set exactly when r_i >= f_i: f divides r exactly when
+    (r + guard - f) & guard == guard, and then the quotient is
+    r + guard - f - guard.  Fields compare from the top, so ints compare
+    as their exponent tuples do: the lex order with x0 first, a monomial
+    order, and the graded-lex order on monomials of one total degree.
+    The bound D is the caller's to prove for every term that can appear.
     """
     width = degree.bit_length() + 1
     mask = (1 << width) - 1
     shifts = [width * i for i in range(num_vars - 1, -1, -1)]
-    guard = sum(1 << (width * i + width - 1) for i in range(num_vars + 1))
+    guard = sum(1 << (width * i + width - 1) for i in range(num_vars))
 
     def pack(exps: Exponents) -> int:
-        key = sum(exps)
+        key = 0
         for e in exps:
             key = key << width | e
         return key
@@ -475,32 +473,34 @@ def _divide_terms(f: _Terms, m: _Terms, packing: _Packing) -> Optional[_Terms]:
     """Quotient q with m = q*f, or None when f does not divide m over Q.
 
     ``f`` is nonzero and primitive and ``m`` nonzero in Z[x], keys packed
-    by ``packing`` for a bound D that holds for f and m: every remainder
-    term lies below a term already in it, and every quotient term divides
-    one, so none exceeds deg m and the mask test below is exact.
+    by ``packing`` for a bound D that holds for f and m.
 
-    Long division under the graded-lex order, in place on one remainder
-    dict: each step subtracts t*f, t = LT(r)/LT(f), touching only the |f|
-    terms it hits and dropping those that cancel.  A heap of pending
-    monomials gives LT(r) (Monagan and Pearce, J. Symb. Comput. 2011), so
-    a step costs O(|f| log |r|), not a scan of the remainder.  A monomial is
-    pushed when it enters the remainder; one that cancels stays in the heap
-    and is skipped when popped (lazy deletion).  The t's are exactly q's
-    terms, and with one divisor the first leading term that LT(f) fails to
-    divide already lands in the remainder (every later t*f lies below it in
-    the order), so that failure ends the division.  By Gauss's lemma, as f
-    is primitive and m in Z[x], q lies in Z[x] when f divides m; so a t with
-    a nonzero ``divmod`` remainder ends it too, and until then r stays in
-    Z[x].  Packed ints order as ``_grlex_key``, so leading terms, and with
-    them the early None, are those of the exponent-tuple order.  Past
-    ``MAX_LENGTH`` quotient terms ValueError is raised.  Degrees in each
-    variable add in a product, and so do the lowest powers, so q lies in the
-    box floor_i = low_i(m) - low_i(f) <= e_i <= high_i(m) - high_i(f) =
-    ceiling_i, read from the unpacked keys; an empty box, or a quotient term
-    t outside it, gives None.  Each bound is at most deg m <= D, so no
-    variable's field of high + guard - t or t + guard - low borrows.  Sum
-    ceiling_i can exceed D: the mask leaves out the total-degree field,
-    which bounds nothing more and, on top, can borrow from no other field.
+    Long division under the packed order (lex with x0 first, graded lex
+    on homogeneous input), in place on one remainder dict: each step
+    subtracts t*f, t = LT(r)/LT(f), touching only the |f| terms it hits.
+    A heap of pending monomials gives LT(r) (Monagan and Pearce, J. Symb.
+    Comput. 2011), so a step costs O(|f| log |r|), not a scan of the
+    remainder.  Packed addition preserves the order, so every term a step
+    makes lies below the one just popped, and no popped monomial comes
+    back: each is pushed once, when it first enters the remainder, and one
+    that cancels keeps its 0 there until it is popped and skipped.  The
+    t's are exactly q's terms, and with one divisor the first leading term
+    that LT(f) fails to divide already lands in the remainder (every later
+    t*f lies below it, in any monomial order), so that failure ends the
+    division.  By Gauss's lemma, as f is primitive and m in Z[x], q lies
+    in Z[x] when f divides m; so a t with a nonzero ``divmod`` remainder
+    ends it too, and until then r stays in Z[x].  Past ``MAX_LENGTH``
+    quotient terms ValueError is raised.
+
+    Degrees in each variable add in a product, and so do the lowest
+    powers, so q lies in the box floor_i = low_i(m) - low_i(f) <= e_i <=
+    high_i(m) - high_i(f) = ceiling_i, read from the unpacked keys; an
+    empty box, or a quotient term t outside it, gives None.  Soundness.
+    Each bound is at most high_i(m) <= D, and every quotient term t
+    passes the box test before it is used, so each field of a new
+    remainder term t*e, e a term of f, is at most ceiling_i + high_i(f) =
+    high_i(m) <= D: every field of every key stays within the packing,
+    and no field of t + guard - low or high + guard - t borrows.
     """
     pack, unpack, guard = packing
     f_exps, m_exps = [*map(unpack, f)], [*map(unpack, m)]
@@ -509,7 +509,6 @@ def _divide_terms(f: _Terms, m: _Terms, packing: _Packing) -> Optional[_Terms]:
     if any(c < lo for c, lo in zip(ceiling, floor)):
         return None
     low, high = pack(tuple(floor)), pack(tuple(ceiling))
-    fields = guard ^ (1 << guard.bit_length() - 1)
     f_key = max(f)
     f_coeff = f[f_key]
     rest = [(e, k) for e, k in f.items() if e != f_key]
@@ -520,8 +519,8 @@ def _divide_terms(f: _Terms, m: _Terms, packing: _Packing) -> Optional[_Terms]:
     quotient: _Terms = {}
     while heap:
         r_key = -heappop(heap)
-        coeff = remainder.pop(r_key, None)
-        if coeff is None:  # cancelled after it was pushed
+        coeff = remainder.pop(r_key)
+        if not coeff:  # cancelled after it entered the remainder
             continue
         diff = r_key + offset
         if diff & guard != guard:
@@ -530,7 +529,7 @@ def _divide_terms(f: _Terms, m: _Terms, packing: _Packing) -> Optional[_Terms]:
         if rem:
             return None
         diff -= guard
-        if ((diff + guard - low) & (high + guard - diff) & fields) != fields:
+        if (diff + guard - low) & (high + guard - diff) & guard != guard:
             return None
         quotient[diff] = t
         if len(quotient) > MAX_LENGTH:
@@ -539,12 +538,8 @@ def _divide_terms(f: _Terms, m: _Terms, packing: _Packing) -> Optional[_Terms]:
             key = diff + e
             old = remainder.get(key)
             if old is None:
-                remainder[key] = -t * k
                 heappush(heap, -key)
-            elif c := old - t * k:
-                remainder[key] = c
-            else:
-                del remainder[key]
+            remainder[key] = (old or 0) - t * k
     return quotient
 
 

@@ -5,7 +5,7 @@ int (``_packing``).  The reference below keeps exponent tuples and does
 everything the schoolbook way: products by nested loops, division by
 repeated leading-term reduction, determinants by fraction-free
 elimination built from those two.  The edge cases put the largest value
-a field may hold into the total-degree field and into every variable's.
+a field may hold into every variable's field.
 Symbolic determinants by expansion by minors are checked on their
 packing bound and against Bareiss elimination at a seeded point in Z/P
 (``minors.bareiss_mod_p``).
@@ -141,7 +141,7 @@ def test_packing_orders_multiplies_and_divides_like_tuples(ring, data):
     a = data.draw(exponents(num_vars, degree))
     b = data.draw(exponents(num_vars, degree))
     assert unpack(pack(a)) == a
-    assert (pack(a) < pack(b)) == (grlex(a) < grlex(b))
+    assert (pack(a) < pack(b)) == (a < b)
     divisible = all(x >= y for x, y in zip(a, b))
     assert ((pack(a) + guard - pack(b)) & guard == guard) == divisible
     if divisible:
@@ -249,14 +249,31 @@ def test_divides_stops_outside_the_degree_box(monkeypatch):
     assert divides(f, f * q + x1**2 * x2**4) is None
 
 
+def test_divides_by_a_lex_leading_term():
+    # The packed order is lex, so LT(f) of f = x0 + x1^5 is x0, where graded
+    # lex took x1^5.  Into x0*x1^5 the box is empty: x0 has degree 1 in m
+    # and in f, so floor_0 = 1 > 0 = ceiling_0.  Into x0*x1^5 + x1^10 the
+    # one quotient term is x1^5.  Into x0^2 + x0*x1^3 + x1^5 the first
+    # step, t = x0, leaves -x0*x1^5 on top, and t = x1^5 falls outside the
+    # box (ceiling_1 = 0) before it touches the remainder.
+    f = {(1, 0): 1, (0, 5): 1}
+    for m, expected in [
+        ({(1, 5): 1}, None),
+        ({(1, 5): 1, (0, 10): 1}, {(0, 5): 1}),
+        ({(2, 0): 1, (1, 3): 1, (0, 5): 1}, None),
+    ]:
+        got = divides(MultiPoly(2, f), MultiPoly(2, m))
+        assert (None if got is None else got.terms) == ref_divide(f, m) == expected
+
+
 def _x(i, power, num_vars=3):
     return tuple(power if k == i else 0 for k in range(num_vars))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 1023, 1024])
 def test_fields_at_their_largest_value(degree):
-    # deg f + deg q = degree, and each of x0, x1, x2 reaches it alone, so the
-    # total-degree field and every variable's field hold the bound itself.
+    # deg f + deg q = degree, and each of x0, x1, x2 reaches it alone, so
+    # every variable's field holds the bound itself.
     hi, lo = (degree + 1) // 2, degree // 2
     f = {_x(0, hi): 1, _x(1, hi): 2, _x(2, hi): -1, _x(0, 0): 3}
     q = {_x(0, lo): 1, _x(1, lo): -1, _x(2, lo): Fraction(1, 2), _x(0, 0): -1}

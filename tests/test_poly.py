@@ -1,5 +1,6 @@
 """Polynomial core: parsing, calculus, divisibility, canonical text."""
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from symdeg import (
     homogeneous_degree,
     parse_poly,
 )
+from symdeg import poly
 from symdeg.poly import _primitive
 
 from parse_reference import parse_poly as reference_parse_poly
@@ -491,8 +493,8 @@ def test_divides_stops_at_a_quotient_coefficient_that_is_not_an_integer():
 
 def test_divides_when_the_box_ceiling_sums_past_the_packing_bound():
     # m has total degree 4, so fields are 4 bits wide, while the ceilings
-    # 3, 3, 3, 3, 3, 3 sum to 18: the box test must leave the total-degree
-    # field out, or the first quotient term already falls outside.
+    # 3, 3, 3, 3, 3, 3 sum to 18: each ceiling must fit its own field, and
+    # their sum needs no field.
     names = [f"x{i}" for i in range(6)]
     f = parse_poly("x0 + x1", names)
     q = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3 + x5^3", names)
@@ -525,6 +527,30 @@ def test_divides_skips_cancelled_then_recreated_terms():
         "x0^2 - x0*x1 + x1^2", v
     )
     assert divides(f, parse_poly("x0^4 + x0^2*x1^2 + x1^4 + x1", v)) is None
+
+
+def test_divides_pushes_each_monomial_once(monkeypatch):
+    # The same first division: x0^2*x1^2 keeps its 0 in the remainder after
+    # the first step cancels it, so the second step finds it there and does
+    # not push it again.  The three terms of m go in by heapify, and the
+    # steps push x0^3*x1 and x0*x1^3, each once.
+    entered = []
+
+    def recorded_heapify(heap):
+        entered.extend(heap)
+        heapq.heapify(heap)
+
+    def recorded_heappush(heap, key):
+        entered.append(key)
+        heapq.heappush(heap, key)
+
+    monkeypatch.setattr(poly, "heapify", recorded_heapify)
+    monkeypatch.setattr(poly, "heappush", recorded_heappush)
+    v = ["x0", "x1"]
+    f = parse_poly("x0^2 + x0*x1 + x1^2", v)
+    m = parse_poly("x0^4 + x0^2*x1^2 + x1^4", v)
+    assert divides(f, m) == parse_poly("x0^2 - x0*x1 + x1^2", v)
+    assert len(entered) == 3 + 2 == len(set(entered))
 
 
 # -- canonical text form ------------------------------------------------------------
