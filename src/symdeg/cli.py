@@ -41,11 +41,6 @@ _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\Z")
 _MAX_EXPONENT = int(_EVALUATE_BITS / log2(10))
 
 
-def _check_digits(what: str, digits: int) -> None:
-    if digits > MAX_DIGITS:
-        raise ValueError(f"{what} has {digits} digits (limit {MAX_DIGITS})")
-
-
 def _read_inline_or_file(text: str) -> str:
     if text.startswith("@"):
         try:
@@ -69,7 +64,7 @@ def infer_variables(text: str) -> list[str]:
                 f"cannot infer variables from {name!r}; pass --vars explicitly"
             )
         prefixes.add(m.group(1))
-        _check_digits(f"the index of variable {name[:8]}...", len(m.group(2)))
+        _check_digit_runs("the index of variable", name)  # the index is its one digit run
         top = max(top, int(m.group(2)))
     if len(prefixes) != 1:
         raise ValueError(
@@ -102,14 +97,16 @@ def _is_name(text: str) -> bool:
         return False
 
 
-def _check_digit_runs(what: str, text: str) -> None:
+def _check_digit_runs(kind: str, text: str) -> None:
+    """ValueError when a run of digits in ``text`` is longer than ``MAX_DIGITS``."""
     if len(text) > MAX_DIGITS:
         for run in _DIGIT_RUN.findall(text):
-            _check_digits(what, len(run.replace("_", "")))
+            if (digits := len(run.replace("_", ""))) > MAX_DIGITS:
+                raise ValueError(f"{kind} {text[:8]}... has {digits} digits (limit {MAX_DIGITS})")
 
 
 def _coordinate(p: str) -> Fraction | int:
-    _check_digit_runs(f"a number in coordinate {p[:8]}...", p)
+    _check_digit_runs("a number in coordinate", p)
     if _PLAIN_INT.fullmatch(p):
         return int(p)
     exponent = _EXPONENT.search(p)
@@ -154,7 +151,7 @@ def _parse_points_arg(text: str) -> list[list[Fraction | int]]:
 def _parse_betti(text: str) -> list[int]:
     parts = [p.strip() for p in text.split(",")]
     for p in parts:
-        _check_digit_runs(f"a Betti number {p[:8]}...", p)
+        _check_digit_runs("a Betti number", p)
     try:
         return [int(p) for p in parts]
     except ValueError:

@@ -18,6 +18,7 @@ from .errors import InternalCheckError
 from .hessian import (
     Point,
     _check_point,
+    _symmetric,
     build_hessian,
     evaluate_hessian,
     hypersurface_rank_certificate,
@@ -154,11 +155,19 @@ def adapt_coordinates(f: MultiPoly, p: Point) -> AdaptedForm:
 
 
 class BlockDecomposition(NamedTuple):
-    """Hessian of the adapted form at the point, in block shape.
+    """Hessian of the adapted form at the point (1, 0, ..., 0), in block shape.
 
-    ``assembled`` is the full matrix; its rank always equals
-    2 + rank(a) because the two antidiagonal corner entries d-1 clear
-    the last row and column.
+    ``a`` is the Hessian of g, ``b`` holds L's coefficients on the middle
+    variables and ``l_n`` its coefficient on XN, so that
+
+        assembled = [[0,    0,    d-1  ],
+                     [0,    a,    b    ],
+                     [d-1,  b^T,  2*l_n]],
+
+    built from its upper triangle by ``hessian._symmetric`` and checked
+    against the Hessian of f_adapted at the point.  Its rank always equals
+    2 + rank(a) because the two antidiagonal corner entries d-1 clear the
+    first and last rows and columns.
     """
 
     a: tuple[tuple[Fraction, ...], ...]
@@ -181,17 +190,11 @@ def block_decompose(af: AdaptedForm) -> BlockDecomposition:
     b = [af.ell.coefficient(monomial(i)) for i in middle]
     l_n = af.ell.coefficient(monomial(big_n))
 
-    corner = Fraction(d - 1)
-    assembled = [[Fraction(0)] * n for _ in range(n)]
-    assembled[0][big_n] = corner
-    assembled[big_n][0] = corner
-    for i in range(big_n - 1):
-        for j in range(big_n - 1):
-            assembled[i + 1][j + 1] = a[i][j]
-    for i in range(big_n - 1):
-        assembled[i + 1][big_n] = b[i]
-        assembled[big_n][i + 1] = b[i]
-    assembled[big_n][big_n] = 2 * l_n
+    # The upper triangle in row order: row 0, the middle rows, then row N.
+    upper = [Fraction(0)] * big_n + [Fraction(d - 1)]
+    for i, row in enumerate(a):
+        upper += row[i:] + [b[i]]
+    assembled = _symmetric(n, upper + [2 * l_n])
 
     point = [Fraction(1)] + [Fraction(0)] * (n - 1)
     direct = evaluate_hessian(build_hessian(af.f_adapted), point)
@@ -239,14 +242,9 @@ def second_order_implicit(af: AdaptedForm) -> list[list[Fraction]]:
     if gamma == 0:
         raise InternalCheckError("implicit step is degenerate: no transverse linear term")
 
-    q = [[Fraction(0)] * (big_n - 1) for _ in range(big_n - 1)]
-    for (i, j), coeff in quad.items():
-        value = -coeff / gamma
-        if i == j:
-            q[i - 1][j - 1] += value
-        else:
-            q[i - 1][j - 1] += value / 2
-            q[j - 1][i - 1] += value / 2
+    # The upper triangle of q in row order; z_i*z_j, i < j, is shared by q_ij and q_ji.
+    pairs = [(i, j) for i in range(1, big_n) for j in range(i, big_n)]
+    q = _symmetric(big_n - 1, [-quad.get((i, j), 0) / gamma / (1 + (i != j)) for i, j in pairs])
 
     block = block_decompose(af)
     expected = [[-x / 2 for x in row] for row in block.a]

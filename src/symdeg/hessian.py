@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import _EVALUATE_BITS, InternalCheckError, check_length
 from .linalg import _bareiss, _colex_subsets, _expand_by_minors, _pivot_columns_poly
 from .poly import (
-    MultiPoly, _divide_terms, _extra_bits, _packed_terms, _packing, _primitive, differentiate,
-    evaluate, homogeneous_degree,
+    MultiPoly, _divide_terms, _extra_bits, _packed_terms, _packing, _primitive, _unpacked,
+    differentiate, evaluate, homogeneous_degree,
 )
 
 Point = Sequence[Fraction | int]
@@ -76,7 +76,12 @@ def _check_point(n: int, p: Point) -> list[Fraction | int]:
 
 
 def _symmetric(n: int, upper: list) -> list[list]:
-    """The symmetric n x n matrix whose upper triangle, in row order, is ``upper``."""
+    """The symmetric n x n matrix whose upper triangle, in row order, is ``upper``.
+
+    symdeg's one builder of symmetric matrices: the Hessian, its values at
+    a point and its integer multiple here, and the adapted block and the
+    implicit quadratic of ``dualvariety``.
+    """
     rows: list[list] = []
     k = 0
     for i in range(n):
@@ -267,8 +272,7 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     for s in dropwhile(lambda s: len(s) == r and s[::-1] <= top[::-1], sets):
         kept, minor = _expand_by_minors([[flat[i * h.size + j] for j in s] for i in s])
         if len(kept) == len(s) and _divide_terms(f, minor, packing) is None:
-            factor = 1 / scale ** len(s)
-            witness = MultiPoly(h.f.num_vars, {unpack(e): k * factor for e, k in minor.items()})
+            witness = _unpacked(h.f.num_vars, minor, unpack, 1 / scale ** len(s))
             return RankCertificate(len(s), s, s, witness, True, _reduced_caveat(h.f))
     raise InternalCheckError("divisibility search found no principal minor")
 

@@ -181,8 +181,7 @@ def _pivot_columns_poly(m: PolyMatrix) -> tuple[tuple[int, ...], poly.MultiPoly]
     pack, unpack, _ = poly._packing(num_vars, n * delta)
     scale, flat = poly._packed_terms([x for row in m for x in row], pack)
     pivots, minor = _expand_by_minors([flat[i * n : (i + 1) * n] for i in range(n)])
-    factor = 1 / scale ** len(pivots)
-    return tuple(pivots), poly.MultiPoly(num_vars, {unpack(e): c * factor for e, c in minor.items()})
+    return tuple(pivots), poly._unpacked(num_vars, minor, unpack, 1 / scale ** len(pivots))
 
 
 def _expand_by_minors(work: list[list[dict]]) -> tuple[list[int], dict]:

@@ -128,8 +128,7 @@ class MultiPoly:
         scale, (a, b) = _packed_terms((self, other), pack)
         product: _Terms = {}
         _mul_add(product, a, b, 1)
-        factor = 1 / scale**2
-        return MultiPoly(self.num_vars, {unpack(e): k * factor for e, k in product.items()})
+        return _unpacked(self.num_vars, product, unpack, 1 / scale**2)
 
     __rmul__ = __mul__
 
@@ -383,7 +382,7 @@ def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
     quotient = _divide_terms(f_ints, m_ints, packing)
     if quotient is None:
         return None
-    return MultiPoly(f.num_vars, {unpack(e): k * f_scale / m_scale for e, k in quotient.items()})
+    return _unpacked(f.num_vars, quotient, unpack, f_scale / m_scale)
 
 
 # -- term-dict kernel ----------------------------------------------------------
@@ -393,7 +392,7 @@ def divides(f: MultiPoly, m: MultiPoly) -> Optional[MultiPoly]:
 # operation.  Each monomial is packed into one int by ``_packing``
 # (Monagan and Pearce, CASC 2007), so a product of monomials is an int
 # sum and the lex order, x0 first, is the int order.  The one way in is
-# ``_packed_terms``; callers unpack and scale back on the way out.
+# ``_packed_terms``; the one way out is ``_unpacked``.
 
 _Terms = dict[int, int]
 _Packing = tuple[Callable[[Exponents], int], Callable[[int], Exponents], int]
@@ -457,6 +456,11 @@ def _packed_terms(polys: Sequence[MultiPoly], pack: Callable) -> tuple[Fraction,
     scale, ints = _primitive(k for p in polys for k in p.terms.values())
     coeffs = iter(ints)
     return scale, [{pack(e): next(coeffs) for e in p.terms} for p in polys]
+
+
+def _unpacked(num_vars: int, terms: _Terms, unpack: Callable, factor: Fraction) -> MultiPoly:
+    """factor*p, p the packed ``terms`` and ``factor`` a Fraction: the mirror of ``_packed_terms``."""
+    return MultiPoly(num_vars, {unpack(e): k * factor for e, k in terms.items()})
 
 
 def _mul_add(out: _Terms, a: _Terms, b: _Terms, sign: int) -> None:

@@ -808,6 +808,15 @@ def test_digit_limit_is_inclusive():
         parse_poly(f"x0^{past}", ["x0"])
 
 
+def test_variable_index_digit_limit_is_inclusive():
+    # A 4,300-digit index passes the digit check, and the variable list it
+    # implies is refused by its length limit; one digit more is refused first.
+    with pytest.raises(ValueError, match=r"^the variable list would have 7{4299}8 entries"):
+        infer_variables(f"x{'7' * 4300}^2")
+    with pytest.raises(ValueError, match=r"^the index of variable x7777777\.\.\. has 4301 digits"):
+        infer_variables(f"x{'7' * 4301}^2")
+
+
 @pytest.mark.parametrize(
     "argv",
     [("rank-at", HUGE_FERMAT, "2,3"), ("stratify", HUGE_FERMAT, "1,1;2,3")],

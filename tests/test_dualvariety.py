@@ -1,6 +1,8 @@
 """Adapted coordinates, block decomposition, implicit expansion, rank relation."""
 
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,79 @@ def test_block_rank_is_middle_rank_plus_two():
         rank_mid = rank_rational([list(row) for row in block.a])
         rank_full = rank_rational([list(row) for row in block.assembled])
         assert rank_full == rank_mid + 2
+
+
+# -- the block by the chain rule -------------------------------------------------------
+
+
+def hessian_at(f, p):
+    """H_f(p), differentiating each term c*x^e of f by hand."""
+    n = f.num_vars
+    h = [[Fraction(0)] * n for _ in range(n)]
+    for exps, coeff in f.terms.items():
+        for i in range(n):
+            for j in range(n):
+                e = list(exps)
+                k = coeff * e[i]
+                e[i] -= 1
+                k *= e[j]
+                e[j] -= 1
+                if k:
+                    for c, x in zip(p, e):
+                        k *= Fraction(c) ** x
+                    h[i][j] += k
+    return h
+
+
+def assert_block_by_the_chain_rule(f, p):
+    # f_adapted(y) = f(T y)/scale and T e0 = p, so its Hessian at e0 is
+    # T^t H_f(p) T / scale.
+    af = adapt_coordinates(f, p)
+    t, n = af.transform, f.num_vars
+    h = hessian_at(f, p)
+    expected = [
+        [sum(t[k][i] * h[k][m] * t[m][j] for k in range(n) for m in range(n)) / af.scale for j in range(n)]
+        for i in range(n)
+    ]
+    assert [list(row) for row in block_decompose(af).assembled] == expected
+    middle = [row[1:-1] for row in expected[1:-1]]
+    assert second_order_implicit(af) == [[-x / 2 for x in row] for row in middle]
+
+
+def random_smooth_points(seed, count):
+    """(f, p): a sparse cubic or quartic in 3-6 variables, made to vanish at p
+    by subtracting a pure power, with p a smooth point of f = 0."""
+    rng = random.Random(seed)
+    while count:
+        n, d = rng.randint(3, 6), rng.choice((3, 4))
+        monomials = list(combinations_with_replacement(range(n), d))
+        terms = {
+            tuple(map(mono.count, range(n))): Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+            for mono in rng.sample(monomials, min(len(monomials), rng.randint(3, 10)))
+        }
+        p = [rng.randint(-3, 3) for _ in range(n)]
+        if not any(p):
+            continue
+        i = next(k for k in range(n) if p[k])
+        f = MultiPoly(n, terms)
+        f = f - MultiPoly(n, {tuple(d * (k == i) for k in range(n)): evaluate(f, p) / p[i] ** d})
+        if any(evaluate(differentiate(f, k), p) for k in range(n)):
+            count -= 1
+            yield f, p
+
+
+@pytest.mark.parametrize(
+    "text, names, p",
+    [(PRESHAPED, X, (1, 0, 0, 0)), (FERMAT, X, (1, -1, 0, 0)), (QUARTIC, W, (0, 1, 0, 0))],
+    ids=["preshaped", "fermat", "quartic"],
+)
+def test_block_is_the_transformed_hessian(text, names, p):
+    assert_block_by_the_chain_rule(parse_poly(text, names), p)
+
+
+def test_block_is_the_transformed_hessian_at_random_smooth_points():
+    for f, p in random_smooth_points(3, 60):
+        assert_block_by_the_chain_rule(f, p)
 
 
 # -- second-order implicit expansion ------------------------------------------------
