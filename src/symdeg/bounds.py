@@ -163,14 +163,12 @@ def corollary_threshold(N: int, r: int) -> int:
 def sym_stratum_dim(N: int, r: int) -> int:
     """Dimension of the projectivized rank-<=r stratum of symmetric N x N forms.
 
-    Computed by walking the codimension-(N-s+1) drops down from the full
-    space, then checked against the closed form.
+    Computed by taking the telescoped codimension-(N-s+1) drops off the
+    full space, then checked against the closed form.
     """
     if not 1 <= r <= N:
         raise ValueError("need 1 <= r <= N")
-    dim = comb(N + 1, 2) - 1
-    for s in range(N, r, -1):
-        dim -= N - s + 1
+    dim = comb(N + 1, 2) - 1 - sum(telescoping_terms(N, r))
     closed = comb(N + 1, 2) - comb(N - r + 1, 2) - 1
     if dim != closed:
         raise InternalCheckError("stratum recursion disagrees with the closed form")

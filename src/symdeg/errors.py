@@ -29,9 +29,14 @@ _EVALUATE_BITS = 1 << 22
 
 
 def check_length(what: str, length: int) -> None:
-    """ValueError when a list would be longer than ``MAX_LENGTH``."""
+    """ValueError when a list would be longer than ``MAX_LENGTH``.
+
+    A length of more than ``MAX_DIGITS`` digits is not printed: the CLI
+    would echo it in full, and Python 3.11 and later refuse to format it.
+    """
     if length > MAX_LENGTH:
-        raise ValueError(f"{what} would have {length} entries (limit {MAX_LENGTH})")
+        count = length if length < 10**MAX_DIGITS else f"at least 10^{MAX_DIGITS}"
+        raise ValueError(f"{what} would have {count} entries (limit {MAX_LENGTH})")
 
 
 class PolyParseError(ValueError):

@@ -5,13 +5,15 @@ with ranks given by a fixed table; here the table, the multiply-by-two
 behaviour of the middle Gysin map and the resulting dimension counts
 and torsion certificates are replayed over a free model of the base
 homology supplied as a vector of Betti numbers.
+Both bundle dimension counts go through the one product formula in
+``_leray_hirsch``.
 No topology is computed: the point is that the headline conclusions
 reduce to small exact calculations that can be re-run and audited.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InternalCheckError
 from .linalg import FGAbelianGroup, cokernel, smith_normal_form
@@ -65,34 +67,32 @@ def quadric_betti(r: int, i: int) -> int:
 # -- Leray-Hirsch dimension counts -----------------------------------------------
 
 
-def lh_quadric_dim(betti: Sequence[int], r: int, k: int) -> int:
-    """dim H_k of a quadric bundle over a base with the given Betti numbers.
+def _leray_hirsch(b: list[int], k: int, fiber: Callable[[int], int]) -> int:
+    """dim H_k of a bundle whose fiber has rank ``fiber(i)`` in degree 2i.
 
     Product formula: each fiber class in degree 2i contributes the base
     dimension in degree k - 2i.  The sum runs over the base degrees
-    j = k - 2i, so its length is bounded by the input, not by r.
+    j = k - 2i, so its length is bounded by the input, not by the fiber.
     """
+    if k < 0:
+        raise ValueError("homological degree must be non-negative")
+    return sum(fiber((k - j) // 2) * b[j] for j in range(k % 2, min(k + 1, len(b)), 2))
+
+
+def lh_quadric_dim(betti: Sequence[int], r: int, k: int) -> int:
+    """dim H_k of a quadric bundle over a base with the given Betti numbers."""
     b = _check_betti(betti)
     if r < 2:
         raise ValueError("quadric table needs rank >= 2")
-    if k < 0:
-        raise ValueError("homological degree must be non-negative")
-    return sum(
-        quadric_betti(r, (k - j) // 2) * b[j] for j in range(k % 2, min(k + 1, len(b)), 2)
-    )
+    return _leray_hirsch(b, k, lambda i: quadric_betti(r, i))
 
 
 def lh_projective_dim(betti: Sequence[int], fiber_dim: int, k: int) -> int:
-    """dim H_k of a projective bundle with fiber P^fiber_dim.
-
-    Sums the base dimension in each degree j = k - 2i with 0 <= i <= fiber_dim.
-    """
+    """dim H_k of a projective bundle: P^fiber_dim has one class in degrees 0..2*fiber_dim."""
     b = _check_betti(betti)
     if fiber_dim < 0:
         raise ValueError("fiber dimension must be non-negative")
-    if k < 0:
-        raise ValueError("homological degree must be non-negative")
-    return sum(b[j] for j in range(k % 2, min(k + 1, len(b)), 2) if k - j <= 2 * fiber_dim)
+    return _leray_hirsch(b, k, lambda i: int(i <= fiber_dim))
 
 
 # -- certificates -----------------------------------------------------------------

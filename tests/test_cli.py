@@ -458,6 +458,24 @@ def test_dual_dim_refuses_what_the_screen_proves_reducible(capsys, f, caveat):
     )
 
 
+SQUARED_CONIC = "x0^2*x2^2 + 2*x0*x1^2*x2 + x1^4"  # (x0*x2 + x1^2)^2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+def test_dual_dim_of_a_squared_conic_is_not_zero(capsys):
+    # The dual of the conic x0*x2 + x1^2 is a conic: dimension 1, not 0.
+    assert run(capsys, "dual-dim", SQUARED_CONIC) != (0, "dual variety dimension: 0\n", "")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+def test_generic_rank_of_a_squared_conic_is_not_two_without_caveat(capsys):
+    # H_f = 2g*H_g + 2*grad(g)*grad(g)^T has rank at most 1 on X = {g = 0}.
+    argv = ("generic-rank", "--on-hypersurface", SQUARED_CONIC, "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    assert (code, report["rank"], report["caveat"]) != (0, 2, None)
+
+
 def test_closed_stdout_exits_one_without_traceback():
     # About 420 KB of JSON: the write is still blocked on the full 64 KiB
     # pipe when the reader closes it, as ``symdeg ... | head`` does.
@@ -815,6 +833,22 @@ def test_variable_index_digit_limit_is_inclusive():
         infer_variables(f"x{'7' * 4300}^2")
     with pytest.raises(ValueError, match=r"^the index of variable x7777777\.\.\. has 4301 digits"):
         infer_variables(f"x{'7' * 4301}^2")
+
+
+def test_a_length_too_long_to_print_is_not_printed():
+    # 10^4300 has 4,301 digits: the message says it is over the limit
+    # instead of printing it, which Python 3.11 and later would refuse.
+    message = r"^the variable list would have at least 10\^4300 entries \(limit 65536\)$"
+    with pytest.raises(ValueError, match=message):
+        infer_variables(f"x{'9' * 4300}^2")
+
+
+def test_bounds_replay_refuses_a_huge_default_betti_vector_in_one_short_line():
+    done = run_subprocess("bounds", "replay", "3", "1", "9" * 4300)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: the default Betti vector would have at least 10^4300 entries (limit 65536)\n"
+    )
 
 
 @pytest.mark.parametrize(
