@@ -25,7 +25,6 @@ import sys
 from fractions import Fraction
 from itertools import islice
 from math import log2
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
@@ -44,7 +43,8 @@ _MAX_EXPONENT = int(_EVALUATE_BITS / log2(10))
 def _read_inline_or_file(text: str) -> str:
     if text.startswith("@"):
         try:
-            return Path(text[1:]).read_text()
+            with open(text[1:]) as fh:
+                return fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read {text[1:]!r}: {exc.strerror or exc}") from None
     return text

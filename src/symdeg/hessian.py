@@ -2,10 +2,11 @@
 
 The form attached to f is the symmetric matrix of second partials; its
 entries are homogeneous of degree d-2, so the rank at a projective point
-does not depend on the chosen lift.  Pointwise ranks (``rank_at``,
-``stratify``) use that freedom: the point is replaced by its primitive
-integer lift, the Hessian by its primitive integer multiple (both from
-``poly._primitive``), and the rank is one integer Bareiss elimination.
+does not depend on the chosen lift.  ``stratify`` is the one pointwise
+rank routine, and ``rank_at`` is ``stratify`` at one point.  It uses that
+freedom: the point is replaced by its primitive integer lift, the Hessian
+by its primitive integer multiple (both from ``poly._primitive``), and the
+rank is one integer Bareiss elimination.
 ``evaluate_hessian`` keeps the rational matrix for callers that need its
 values.  Generic ranks (over the ambient space and over the hypersurface
 f = 0) are certified symbolically by an explicit minor.  The ambient rank
@@ -97,62 +98,11 @@ def evaluate_hessian(h: HessianForm, p: Point) -> list[list[Fraction]]:
     return _symmetric(h.size, upper)
 
 
-def _integer_plan(h: HessianForm) -> list[dict]:
-    """The upper triangle of c*H in row order, c*H the primitive multiple of H.
-
-    Each entry is a ``poly._packed_terms`` dict, keyed not by a packed int
-    but by the sparse ((variable, exponent), ...) tuple, zero exponents left out.
-    """
-    upper = [e for i, row in enumerate(h.hessian) for e in row[i:]]
-    return _packed_terms(upper, lambda exps: tuple((v, k) for v, k in enumerate(exps) if k))[1]
-
-
-def _integer_rank(h: HessianForm, plan: list[dict], coords: Sequence[Fraction | int]) -> int:
-    """Rank of the form at checked coordinates, computed entirely over Z.
-
-    Soundness.  Let q be the primitive integer lift of the point, q =
-    lambda*p with lambda a nonzero rational.  The entries of H are
-    homogeneous of degree d-2, so H(q) = lambda^(d-2) H(p); and ``plan``
-    holds c*H, c the nonzero rational of ``poly._primitive``.
-    The integer matrix c*H(q) is therefore a nonzero multiple of H(p), and
-    has the same rank over Q.  That rank is the pivot count of the one
-    Bareiss elimination, whose every division is checked to be exact
-    (``linalg._bareiss``); nothing is decided modulo a prime.
-
-    The evaluation budget of ``poly.evaluate`` applies to q: a term
-    raising q_i to e_i needs at least sum e_i*(b_i - 1) bits, b_i the bit
-    length of q_i, and more than ``_EVALUATE_BITS`` raises ValueError
-    before any power is taken.  Every term has degree d-2, so when
-    (d-2)*max(b_i - 1) is within budget no term is checked.
-    """
-    lift = _primitive(coords)[1]
-    if (h.degree - 2) * (max(map(abs, lift)).bit_length() - 1) > _EVALUATE_BITS:
-        extra = [_extra_bits(x) for x in lift]
-        for factors in chain.from_iterable(plan):
-            bits = sum(e * extra[v] for v, e in factors)
-            if bits > _EVALUATE_BITS:
-                raise ValueError(f"value needs at least {bits} bits (budget {_EVALUATE_BITS})")
-    values = []
-    for terms in plan:
-        total = 0
-        for factors, coeff in terms.items():
-            for v, e in factors:
-                coeff *= lift[v] ** e
-            total += coeff
-        values.append(total)
-    return len(_bareiss(_symmetric(h.size, values))[0])
-
-
 def rank_at(h: HessianForm, p: Point) -> int:
-    """Rank of the form at a nonzero point, exact and lift-independent.
-
-    Computed over Z: the primitive integer multiple of H at the primitive
-    integer lift of p is a nonzero multiple of H(p)
-    (the entries are homogeneous), so it has the same rank, and that rank
-    is the pivot count of an integer Bareiss elimination with every
-    division checked exact.  See ``_integer_rank``.
-    """
-    return _integer_rank(h, _integer_plan(h), _check_point(h.size, p))
+    """Rank of the form at a nonzero point, exact and lift-independent:
+    ``stratify`` at that one point."""
+    (rank,) = stratify(h, [p]).buckets
+    return rank
 
 
 # -- generic rank certificates -------------------------------------------------
@@ -297,14 +247,47 @@ class RankStratification(NamedTuple):
 def stratify(h: HessianForm, points: Sequence[Point]) -> RankStratification:
     """Bucket the points by the exact rank of the form, in input order.
 
-    The integer plan of c*H is built once; each point's rank is then that
-    of c*H at its primitive integer lift, a nonzero multiple of H at the
-    point (homogeneous entries), found by integer Bareiss with every
-    division checked exact.  See ``_integer_rank``.
+    symdeg's one pointwise rank, computed entirely over Z.  The plan is
+    built once: the upper triangle of c*H in row order, c*H the primitive
+    multiple of H, each entry a ``poly._packed_terms`` dict keyed not by a
+    packed int but by the sparse ((variable, exponent), ...) tuple, zero
+    exponents left out.
+
+    Soundness.  Let q be the primitive integer lift of a point p, q =
+    lambda*p with lambda a nonzero rational.  The entries of H are
+    homogeneous of degree d-2, so H(q) = lambda^(d-2) H(p), and c is the
+    nonzero rational of ``poly._primitive``.  The integer matrix c*H(q) is
+    therefore a nonzero multiple of H(p), and has the same rank over Q.
+    That rank is the pivot count of the one Bareiss elimination, whose
+    every division is checked to be exact (``linalg._bareiss``); nothing is
+    decided modulo a prime.
+
+    The evaluation budget of ``poly.evaluate`` applies to q: a term
+    raising q_i to e_i needs at least sum e_i*(b_i - 1) bits, b_i the bit
+    length of q_i, and more than ``_EVALUATE_BITS`` raises ValueError
+    before any power is taken.  Every term has degree d-2, so when
+    (d-2)*max(b_i - 1) is within budget no term is checked.
     """
-    plan = _integer_plan(h)
+    upper = [e for i, row in enumerate(h.hessian) for e in row[i:]]
+    plan = _packed_terms(upper, lambda exps: tuple((v, k) for v, k in enumerate(exps) if k))[1]
     buckets: dict[int, list[tuple[Fraction | int, ...]]] = {}
     for p in points:
         coords = _check_point(h.size, p)
-        buckets.setdefault(_integer_rank(h, plan, coords), []).append(tuple(coords))
+        lift = _primitive(coords)[1]
+        if (h.degree - 2) * (max(map(abs, lift)).bit_length() - 1) > _EVALUATE_BITS:
+            extra = [_extra_bits(x) for x in lift]
+            for factors in chain.from_iterable(plan):
+                bits = sum(e * extra[v] for v, e in factors)
+                if bits > _EVALUATE_BITS:
+                    raise ValueError(f"value needs at least {bits} bits (budget {_EVALUATE_BITS})")
+        values = []
+        for terms in plan:
+            total = 0
+            for factors, coeff in terms.items():
+                for v, e in factors:
+                    coeff *= lift[v] ** e
+                total += coeff
+            values.append(total)
+        rank = len(_bareiss(_symmetric(h.size, values))[0])
+        buckets.setdefault(rank, []).append(tuple(coords))
     return RankStratification(buckets=buckets)

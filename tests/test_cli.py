@@ -355,13 +355,21 @@ def test_exit_two_on_zero_denominator(capsys):
     assert err == "error: zero denominator in point '1/0,1'\n"
 
 
-@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("target", ["missing", "directory", "empty", "trailing-slash"])
 def test_exit_two_on_unreadable_file(capsys, tmp_path, target):
-    path = tmp_path / "missing.txt" if target == "missing" else tmp_path
+    # The path after @ is opened exactly as given: "" names no file (not
+    # "."), and a trailing slash names a directory, not the file before it.
+    cubic = tmp_path / "cubic.txt"
+    cubic.write_text("x0^3 + x1^3")
+    path, reason = {
+        "missing": (f"{tmp_path / 'missing.txt'}", "No such file or directory"),
+        "directory": (f"{tmp_path}", "Is a directory"),
+        "empty": ("", "No such file or directory"),
+        "trailing-slash": (f"{cubic}/", "Not a directory"),
+    }[target]
     code, out, err = run(capsys, "dual-dim", f"@{path}")
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot read '{path}'")
-    assert err.count("\n") == 1
+    assert err == f"error: cannot read '{path}': {reason}\n"
 
 
 @pytest.mark.parametrize("r", ["1", "0", "-3"])

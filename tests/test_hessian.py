@@ -27,7 +27,9 @@ from symdeg import (
 )
 from symdeg.cli import infer_variables
 
-from minors import det_poly, expansion_and_bareiss, minor_dets, set_by_set_search
+from minors import (
+    P, bareiss_mod_p, det_poly, expansion_and_bareiss, minor_dets, set_by_set_search,
+)
 from test_cli import DENSE_QUADRIC
 
 W = ["w0", "w1", "w2", "w3"]
@@ -281,15 +283,27 @@ def test_primitive_lift():
     assert _primitive([Fraction(-6), Fraction(0), Fraction(9)])[1] == [-2, 0, 3]
 
 
-def test_integer_plan_clears_denominators():
-    from symdeg.hessian import _integer_plan
+def test_integer_plan_clears_denominators(monkeypatch):
+    # stratify's plan is the upper triangle of c*H, c*H the primitive multiple of H.
+    from symdeg import hessian
 
+    plans, packed_terms_of = [], hessian._packed_terms
+
+    def packed_terms(polys, pack):
+        scale, plan = packed_terms_of(polys, pack)
+        plans.append(plan)
+        return scale, plan
+
+    monkeypatch.setattr(hessian, "_packed_terms", packed_terms)
     # Hessian of x0^3/7 + x0*x1^2/2 is [[6/7 x0, x1], [x1, x0]]: D = 7.
     h = build_hessian(parse_poly("1/7*x0^3 + 1/2*x0*x1^2", ["x0", "x1"]))
-    assert _integer_plan(h) == [{((0, 1),): 6}, {((1, 1),): 7}, {((0, 1),): 7}]
+    stratify(h, [(1, 1)])
+    assert plans.pop() == [{((0, 1),): 6}, {((1, 1),): 7}, {((0, 1),): 7}]
     # Hessian of 2/3*x0^3 + 2*x0*x1^2 is [[4 x0, 4 x1], [4 x1, 4 x0]]: the gcd 4 goes too.
     h = build_hessian(parse_poly("2/3*x0^3 + 2*x0*x1^2", ["x0", "x1"]))
-    assert _integer_plan(h) == [{((0, 1),): 1}, {((1, 1),): 1}, {((0, 1),): 1}]
+    stratify(h, [(1, 1)])
+    assert plans.pop() == [{((0, 1),): 1}, {((1, 1),): 1}, {((0, 1),): 1}]
+    assert plans == []
 
 
 def test_pointwise_rank_keeps_the_evaluation_budget():
@@ -307,6 +321,13 @@ def test_pointwise_rank_keeps_the_evaluation_budget():
         stratify(over, [(1, 1), (2, 1)])
     # The primitive lift of (1/2, -1/2) is (1, -1): no bits at all.
     assert rank_at(over, [Fraction(1, 2), Fraction(-1, 2)]) == 2
+    # At (1, 4), (d-2)*(3-1) = 2*budget sends every Hessian term to the
+    # per-term check; the largest, from d^2/dx0^2, is x1^(budget/2), and
+    # 4^(budget/2) needs exactly budget bits.  At (1, 8) it needs 3/2 of them.
+    mixed = build_hessian(parse_poly(f"x0^{budget // 2 + 2}*x1^{budget // 2}", ["x0", "x1"]))
+    assert rank_at(mixed, [1, 4]) == 2
+    with pytest.raises(ValueError, match=rf"at least {3 * budget // 2} bits \(budget {budget}\)"):
+        rank_at(mixed, [1, 8])
 
 
 def test_pointwise_rank_never_takes_the_rational_path(monkeypatch):
@@ -721,6 +742,40 @@ def test_packed_search_matches_the_set_by_set_reference_on_a_seeded_sweep():
         assert (cert.rank, cert.witness_rows, cert.witness_minor) == expected, h.f.format()
         past += cert.witness_rows != ambient_rank_certificate(h).witness_rows
     assert past >= 30
+
+
+# -- a rank oracle that shares no arithmetic with src/ ---------------------------
+
+
+@pytest.mark.parametrize(
+    "f",
+    differential_inputs() + ZERO_ROW_INPUTS + PAST_THE_AMBIENT_WITNESS,
+    ids=lambda f: f.format(),
+)
+def test_ranks_match_an_oracle_that_shares_no_arithmetic(f):
+    # H comes from f's terms alone, and is read at a point in Z/P, P =
+    # 2^127 - 1, prime to every denominator here: a ring map, so no oracle
+    # rank exceeds the rank over Q of H at that point, and none exceeds the
+    # rank over Q(x).  It falls short only where P divides each nonzero
+    # minor of the largest size, or where a nonzero minor of H vanishes at
+    # both points of (Z/P)^n; with these seeds, nowhere.
+    n, rng = f.num_vars, random.Random(15)
+    m = [[oracle_second_partial(f.terms, n, i, j) for j in range(n)] for i in range(n)]
+    h = build_hessian(f)
+    rank = ambient_rank_certificate(h).rank
+    ambient = max(len(bareiss_mod_p(m, [rng.randrange(P) for _ in m])[0]) for _ in range(2))
+    assert ambient <= rank
+    assert ambient == rank
+    points = []
+    while len(points) < 6:
+        p = tuple(rng.randint(-4, 4) for _ in m)
+        points += [p] * any(p)
+    ranks = [len(bareiss_mod_p(m, p)[0]) for p in points]
+    assert [rank_at(h, p) for p in points] == ranks
+    expected = {}
+    for p, r in zip(points, ranks):
+        expected.setdefault(r, []).append(p)
+    assert stratify(h, points).buckets == expected
 
 
 # -- stratification ------------------------------------------------------------
