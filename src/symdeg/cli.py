@@ -4,15 +4,17 @@ Every command accepts ``--format json`` for a machine-readable report
 with a top-level ``"schema": 1`` field; identical invocations produce
 byte-identical JSON.  JSON encoding lives only in this module: library
 reports are immutable named tuples, and ``to_json`` turns them into JSON
-values.  Exit codes: 0 success; 1 stdout cannot be written: it was closed
-before start or by the reader, or a write failed; 2 bad input; 3 failed
-internal consistency check.
+values.  Each command handler returns a payload (a dict or a report) and
+its text lines, and prints nothing: ``main`` alone reads ``--format`` and
+prints the payload's JSON body or the lines.  Exit codes: 0 success; 1
+stdout cannot be written: it was closed before start or by the reader,
+or a write failed; 2 bad input; 3 failed internal consistency check.
 
-Polynomials are passed inline or as ``@path``.  Variable names come
-from ``--vars`` or are inferred: indexed names sharing one alphabetic
-prefix (w0, w1, ...) imply the full range up to the largest index.
-An index with a leading zero (x00, x01) names no variable in that range,
-so it is not inferred.
+Polynomials are passed inline or as ``@path``, a file read as UTF-8.
+Variable names come from ``--vars`` or are inferred: indexed names
+sharing one alphabetic prefix (w0, w1, ...) imply the full range up to
+the largest index.  An index with a leading zero (x00, x01) names no
+variable in that range, so it is not inferred.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 from math import log2
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import dualvariety, hessian, poly, quadrics
@@ -43,10 +45,11 @@ _MAX_EXPONENT = int(_EVALUATE_BITS / log2(10))
 def _read_inline_or_file(text: str) -> str:
     if text.startswith("@"):
         try:
-            with open(text[1:]) as fh:
+            with open(text[1:], encoding="utf-8") as fh:
                 return fh.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read {text[1:]!r}: {exc.strerror or exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ValueError(f"cannot read {text[1:]!r}: {reason}") from None
     return text
 
 
@@ -128,7 +131,7 @@ def _parse_point(text: str) -> list[Fraction | int]:
     refuse in their own terms and 3.10 reads.
     """
     parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
+    if not all(parts):
         raise ValueError(f"malformed point {text!r}")
     try:
         return [_coordinate(p) for p in parts]
@@ -161,12 +164,15 @@ def _parse_betti(text: str) -> list[int]:
 def to_json(value):
     """JSON value of a report: the one place symdeg decides JSON encoding.
 
-    A report (a named tuple) becomes {field name: value}, other tuples
-    and lists become lists, and a Fraction becomes an int, or "p/q" when
-    its denominator is not 1.  Other values pass through unchanged.
+    A report (a named tuple) becomes {field name: value} and a dict keeps
+    its keys, each value converted in turn; other tuples and lists become
+    lists, and a Fraction becomes an int, or "p/q" when its denominator is
+    not 1.  Other values pass through unchanged.
     """
     if isinstance(value, tuple) and hasattr(value, "_fields"):
-        return {name: to_json(v) for name, v in zip(value._fields, value)}
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {name: to_json(v) for name, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_json(v) for v in value]
     if isinstance(value, Fraction):
@@ -174,60 +180,36 @@ def to_json(value):
     return value
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> int:
-    if args.format == "json":
-        # Batched: the text is never whole in memory, yet unbuffered stdout sees few writes.
-        body = {**payload, "schema": 1, "command": args.command}
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(body)
-        while batch := "".join(islice(chunks, 4096)):
-            print(batch, end="")
-        print()
-    else:
-        for line in text_lines:
-            print(line)
-    return 0
-
-
 # -- command handlers -----------------------------------------------------------
 
 
-def _cmd_hessian(args: argparse.Namespace) -> int:
+def _cmd_hessian(args: argparse.Namespace) -> tuple[dict, list[str]]:
     f, var_names = _poly_arg(args)
     h = hessian.build_hessian(f)
     matrix = [[entry.format(var_names) for entry in row] for row in h.hessian]
     lines = ["[" + ", ".join(row) + "]" for row in matrix]
-    return _emit(
-        args,
-        {"vars": var_names, "degree": h.degree, "matrix": matrix},
-        lines,
-    )
+    return {"vars": var_names, "degree": h.degree, "matrix": matrix}, lines
 
 
-def _cmd_rank_at(args: argparse.Namespace) -> int:
+def _cmd_rank_at(args: argparse.Namespace) -> tuple[dict, list[str]]:
     f, _ = _poly_arg(args)
     point = _parse_point(args.point)
     rank = hessian.rank_at(hessian.build_hessian(f), point)
-    return _emit(
-        args,
-        {"point": to_json(point), "rank": rank},
-        [f"rank at ({args.point}): {rank}"],
-    )
+    return {"point": point, "rank": rank}, [f"rank at ({args.point}): {rank}"]
 
 
-def _cmd_stratify(args: argparse.Namespace) -> int:
+def _cmd_stratify(args: argparse.Namespace) -> tuple[dict, Iterator[str]]:
     f, _ = _poly_arg(args)
     points = _parse_points_arg(args.points)
     buckets = sorted(hessian.stratify(hessian.build_hessian(f), points).buckets.items())
-    if args.format == "json":
-        return _emit(args, {"ranks": {str(rank): to_json(ps) for rank, ps in buckets}}, [])
-    lines = [
+    lines = (
         f"rank {rank}: " + "; ".join("(" + ", ".join(map(str, p)) + ")" for p in ps)
         for rank, ps in buckets
-    ]
-    return _emit(args, {}, lines or ["no points"])
+    )
+    return {"ranks": {str(rank): ps for rank, ps in buckets}}, lines
 
 
-def _cmd_generic_rank(args: argparse.Namespace) -> int:
+def _cmd_generic_rank(args: argparse.Namespace) -> tuple[tuple, list[str]]:
     f, var_names = _poly_arg(args)
     h = hessian.build_hessian(f)
     if args.on_hypersurface:
@@ -243,16 +225,16 @@ def _cmd_generic_rank(args: argparse.Namespace) -> int:
     ]
     if cert.caveat:
         lines.append(f"caveat: {cert.caveat}")
-    return _emit(args, {**to_json(cert), "witness_minor": minor}, lines)
+    return cert._replace(witness_minor=minor), lines
 
 
-def _cmd_dual_dim(args: argparse.Namespace) -> int:
+def _cmd_dual_dim(args: argparse.Namespace) -> tuple[dict, list[str]]:
     f, _ = _poly_arg(args)
     value = dualvariety.dual_dimension(f)
-    return _emit(args, {"dual_dimension": value}, [f"dual variety dimension: {value}"])
+    return {"dual_dimension": value}, [f"dual variety dimension: {value}"]
 
 
-def _cmd_check_rank_relation(args: argparse.Namespace) -> int:
+def _cmd_check_rank_relation(args: argparse.Namespace) -> tuple[dict, list[str]]:
     f, _ = _poly_arg(args)
     point = _parse_point(args.point)
     report = dualvariety.rank_relation_check(f, point)
@@ -265,24 +247,20 @@ def _cmd_check_rank_relation(args: argparse.Namespace) -> int:
         "rank_Q": report.rank_q,
         "rank_A": report.rank_a,
         "holds": report.holds,
-        "transform": to_json(report.transform),
+        "transform": report.transform,
     }
-    return _emit(args, payload, lines)
+    return payload, lines
 
 
-def _cmd_quad_betti(args: argparse.Namespace) -> int:
+def _cmd_quad_betti(args: argparse.Namespace) -> tuple[dict, list[str]]:
     r = args.r
     check_length("the rank table", r - 1)
     # at least one library call, so r < 2 is rejected as in quadric_betti
     table = [quadrics.quadric_betti(r, i) for i in range(max(r - 1, 1))]
-    return _emit(
-        args,
-        {"r": r, "table": table},
-        [f"rank H^(2i) for i = 0..{r - 2}: {table}"],
-    )
+    return {"r": r, "table": table}, [f"rank H^(2i) for i = 0..{r - 2}: {table}"]
 
 
-def _cmd_lh_dim(args: argparse.Namespace) -> int:
+def _cmd_lh_dim(args: argparse.Namespace) -> tuple[dict, list[str]]:
     betti = _parse_betti(args.betti)
     if args.quadric_rank is not None:
         dim = quadrics.lh_quadric_dim(betti, args.quadric_rank, args.k)
@@ -292,20 +270,20 @@ def _cmd_lh_dim(args: argparse.Namespace) -> int:
         dim = quadrics.lh_projective_dim(betti, args.projective_fiber, args.k)
         payload = {"kind": "projective", "fiber_dim": args.projective_fiber}
         lines = [f"dim H_{args.k} of the P^{args.projective_fiber} bundle: {dim}"]
-    return _emit(args, {"betti": betti, "k": args.k, "dim": dim, **payload}, lines)
+    return {"betti": betti, "k": args.k, "dim": dim, **payload}, lines
 
 
-def _cmd_nonsurj(args: argparse.Namespace) -> int:
+def _cmd_nonsurj(args: argparse.Namespace) -> tuple[tuple, list[str]]:
     cert = quadrics.nonsurjectivity_certificate(_parse_betti(args.betti), args.r, args.d)
     lines = [
         f"source dim (degree {cert.degree_source}): {cert.dim_source}",
         f"target dim (degree {cert.degree_target}): {cert.dim_target}",
         "surjection impossible" if cert.surjection_impossible else "dimensions permit surjection",
     ]
-    return _emit(args, to_json(cert), lines)
+    return cert, lines
 
 
-def _cmd_torsion(args: argparse.Namespace) -> int:
+def _cmd_torsion(args: argparse.Namespace) -> tuple[tuple, list[str]]:
     cert = quadrics.torsion_certificate(_parse_betti(args.betti), args.r, args.d)
     lines = [
         f"quotient by the Gysin image: {cert.quotient}",
@@ -313,10 +291,10 @@ def _cmd_torsion(args: argparse.Namespace) -> int:
     ]
     if cert.relation:
         lines.append(f"fiber relation: {cert.relation}")
-    return _emit(args, to_json(cert), lines)
+    return cert, lines
 
 
-def _cmd_bounds_replay(args: argparse.Namespace) -> int:
+def _cmd_bounds_replay(args: argparse.Namespace) -> tuple[tuple, list[str]]:
     if args.betti is None:
         check_length("the default Betti vector", 2 * args.d + 1)
         betti = [0] * (2 * args.d) + [1]
@@ -328,7 +306,7 @@ def _cmd_bounds_replay(args: argparse.Namespace) -> int:
         mark = "ok" if step.ok else "FAIL"
         lines.append(f"step {k} [{mark}] {step.statement} ({step.lhs} vs {step.rhs})")
     lines.append(f"verdict: {report.verdict}")
-    return _emit(args, to_json(report), lines)
+    return report, lines
 
 
 # -- parser ----------------------------------------------------------------------
@@ -350,29 +328,30 @@ def build_parser() -> argparse.ArgumentParser:
     poly_input.add_argument("--vars", help="comma-separated variable names")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, *extra) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common, *extra], help=help_text)
-        p.set_defaults(handler=handler, command=name, parser=p)
+    def add(group, name: str, handler, help_text: str, *extra) -> argparse.ArgumentParser:
+        p = group.add_parser(name, parents=[common, *extra], help=help_text)
+        p.set_defaults(handler=handler, command=p.prog.partition(" ")[2], parser=p)
         return p
 
-    add("hessian", _cmd_hessian, "print the symbolic Hessian matrix", poly_input)
+    add(sub, "hessian", _cmd_hessian, "print the symbolic Hessian matrix", poly_input)
 
-    p = add("rank-at", _cmd_rank_at, "Hessian rank at a point", poly_input)
+    p = add(sub, "rank-at", _cmd_rank_at, "Hessian rank at a point", poly_input)
     p.add_argument("point", help="comma-separated rational coordinates")
 
-    p = add("stratify", _cmd_stratify, "bucket points by Hessian rank", poly_input)
+    p = add(sub, "stratify", _cmd_stratify, "bucket points by Hessian rank", poly_input)
     p.add_argument("points", help="semicolon-separated points, or @file with one per line")
 
-    p = add("generic-rank", _cmd_generic_rank, "certified generic Hessian rank", poly_input)
+    p = add(sub, "generic-rank", _cmd_generic_rank, "certified generic Hessian rank", poly_input)
     p.add_argument(
         "--on-hypersurface",
         action="store_true",
         help="rank on the hypersurface f = 0 instead of the ambient space",
     )
 
-    add("dual-dim", _cmd_dual_dim, "dual-variety dimension", poly_input)
+    add(sub, "dual-dim", _cmd_dual_dim, "dual-variety dimension", poly_input)
 
     p = add(
+        sub,
         "check-rank-relation",
         _cmd_check_rank_relation,
         "verify rank Q = rank A + 2 at a smooth point",
@@ -380,32 +359,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("point", help="comma-separated rational coordinates")
 
-    p = add("quad-betti", _cmd_quad_betti, "rank table of a smooth quadric")
+    p = add(sub, "quad-betti", _cmd_quad_betti, "rank table of a smooth quadric")
     p.add_argument("r", type=int, help="rank of the quadratic form")
 
-    p = add("lh-dim", _cmd_lh_dim, "bundle homology dimension by product formula")
+    p = add(sub, "lh-dim", _cmd_lh_dim, "bundle homology dimension by product formula")
     p.add_argument("--betti", required=True, help="comma-separated base Betti numbers")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--quadric-rank", type=int, help="quadric-bundle fiber rank")
     group.add_argument("--projective-fiber", type=int, help="projective-bundle fiber dimension")
     p.add_argument("k", type=int, help="homological degree")
 
-    p = add("nonsurj", _cmd_nonsurj, "even-rank Gysin nonsurjectivity certificate")
+    p = add(sub, "nonsurj", _cmd_nonsurj, "even-rank Gysin nonsurjectivity certificate")
     p.add_argument("--betti", required=True, help="comma-separated base Betti numbers")
     p.add_argument("--r", type=int, required=True, help="even fiber rank")
     p.add_argument("--d", type=int, required=True, help="base dimension")
 
-    p = add("torsion", _cmd_torsion, "odd-rank 2-torsion certificate")
+    p = add(sub, "torsion", _cmd_torsion, "odd-rank 2-torsion certificate")
     p.add_argument("--betti", required=True, help="comma-separated base Betti numbers")
     p.add_argument("--r", type=int, required=True, help="odd fiber rank")
     p.add_argument("--d", type=int, required=True, help="base dimension")
 
     p_bounds = sub.add_parser("bounds", help="dimension-bound arithmetic")
     bounds_sub = p_bounds.add_subparsers(dest="bounds_command", required=True)
-    p = bounds_sub.add_parser(
-        "replay", parents=[common], help="step-by-step replay of the main bound"
-    )
-    p.set_defaults(handler=_cmd_bounds_replay, command="bounds replay", parser=p)
+    p = add(bounds_sub, "replay", _cmd_bounds_replay, "step-by-step replay of the main bound")
     p.add_argument("N", type=int)
     p.add_argument("r", type=int)
     p.add_argument("d", type=int)
@@ -427,18 +403,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     # Every input number is capped at MAX_DIGITS by symdeg's own checks, so
     # Python's int-to-str limit (3.11 and later) only stops certified
-    # answers from printing; it is lifted while the handler runs.
+    # answers from printing; it is lifted while the handler runs and while
+    # its report prints.
     int_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if int_digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code = args.handler(args)
+        payload, lines = args.handler(args)
+        if args.format == "json":
+            # Batched: the text is never whole in memory, yet unbuffered stdout sees few writes.
+            body = {**to_json(payload), "schema": 1, "command": args.command}
+            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(body)
+            while batch := "".join(islice(chunks, 4096)):
+                print(batch, end="")
+            print()
+        else:
+            for line in lines:
+                print(line)
         if sys.stdout is None:
             # fd 1 was closed before start (``symdeg ... >&-``): print wrote nothing.
             print("error: cannot write the report: standard output is closed", file=sys.stderr)
             return 1
         sys.stdout.flush()
-        return code
+        return 0
     except OSError as exc:
         # The reader closed stdout (``symdeg ... | head``), silently, or a
         # write failed (``> /dev/full``).  Reads never get here: their

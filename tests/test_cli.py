@@ -349,27 +349,55 @@ def test_exit_two_on_bad_rank_argument(capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("point", ["1,,1", "", ",1", "1, "])
+def test_exit_two_on_empty_coordinate(capsys, point):
+    code, out, err = run(capsys, "rank-at", "x0^2+x1^2", point)
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed point {point!r}\n"
+
+
 def test_exit_two_on_zero_denominator(capsys):
     code, out, err = run(capsys, "rank-at", "x0^2+x1^2", "1/0,1")
     assert (code, out) == (2, "")
     assert err == "error: zero denominator in point '1/0,1'\n"
 
 
-@pytest.mark.parametrize("target", ["missing", "directory", "empty", "trailing-slash"])
+@pytest.mark.parametrize(
+    "target", ["missing", "directory", "empty", "trailing-slash", "not-utf8"]
+)
 def test_exit_two_on_unreadable_file(capsys, tmp_path, target):
     # The path after @ is opened exactly as given: "" names no file (not
     # "."), and a trailing slash names a directory, not the file before it.
+    # A file is read as UTF-8, and one that is not UTF-8 is named too.
     cubic = tmp_path / "cubic.txt"
     cubic.write_text("x0^3 + x1^3")
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"\xff x0^3")
     path, reason = {
         "missing": (f"{tmp_path / 'missing.txt'}", "No such file or directory"),
         "directory": (f"{tmp_path}", "Is a directory"),
         "empty": ("", "No such file or directory"),
         "trailing-slash": (f"{cubic}/", "Not a directory"),
+        "not-utf8": (
+            f"{latin}",
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
     }[target]
     code, out, err = run(capsys, "dual-dim", f"@{path}")
     assert (code, out) == (2, "")
     assert err == f"error: cannot read '{path}': {reason}\n"
+
+
+def test_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # With EncodingWarning an error, a read that follows the locale would
+    # end in a traceback.
+    cubic = tmp_path / "cubic.txt"
+    cubic.write_text("x0^3 + x1^3\n", encoding="utf-8")
+    done = run_python(
+        "-X", "warn_default_encoding", "-W", "error", "-m", "symdeg.cli",
+        "rank-at", f"@{cubic}", "0,1",
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "rank at (0,1): 1\n", "")
 
 
 @pytest.mark.parametrize("r", ["1", "0", "-3"])
@@ -1180,6 +1208,8 @@ def test_records_keep_their_field_order_and_are_immutable(module, name):
 
 
 def test_to_json_turns_nested_records_into_dicts():
+    from fractions import Fraction
+
     from symdeg.bounds import replay_main_theorem
     from symdeg.cli import to_json
     from symdeg.quadrics import torsion_certificate
@@ -1187,6 +1217,10 @@ def test_to_json_turns_nested_records_into_dicts():
     cert = to_json(torsion_certificate([1, 0, 1], 3, 1))
     assert cert["quotient"] == {"free_rank": 0, "torsion": [2]}
     assert cert["bottom_matrix"] == [[2]]
+    payload = to_json({"p": (Fraction(1, 2), 3), "cert": torsion_certificate([1, 0, 1], 3, 1)})
+    assert list(payload) == ["p", "cert"]
+    assert payload == {"p": ["1/2", 3], "cert": cert}
+    assert isinstance(payload["cert"], dict)
     for r, kind in ((3, "quotient"), (4, "surjection_impossible")):
         report = to_json(replay_main_theorem(4, r, 1, [1, 0, 1]))
         assert all(isinstance(step, dict) and list(step) == ["statement", "lhs", "rhs", "ok"]
@@ -1241,3 +1275,13 @@ def test_public_names_are_sorted_unique_and_bound():
     star: dict = {}
     exec("from symdeg import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+def test_unknown_package_attribute_is_refused():
+    import symdeg
+
+    with pytest.raises(AttributeError, match="^module 'symdeg' has no attribute 'nope'$"):
+        symdeg.nope
+    assert not hasattr(symdeg, "nope")
+    with pytest.raises(ImportError):
+        from symdeg import nope  # noqa: F401
