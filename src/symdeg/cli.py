@@ -326,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     poly_input = argparse.ArgumentParser(add_help=False)
     poly_input.add_argument("poly", help="polynomial text or @file")
     poly_input.add_argument("--vars", help="comma-separated variable names")
-    sub = parser.add_subparsers(dest="command", required=True)
+    betti_input = argparse.ArgumentParser(add_help=False)
+    betti_input.add_argument("--betti", required=True, help="comma-separated base Betti numbers")
+    sub = parser.add_subparsers(required=True)
 
     def add(group, name: str, handler, help_text: str, *extra) -> argparse.ArgumentParser:
         p = group.add_parser(name, parents=[common, *extra], help=help_text)
@@ -362,25 +364,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(sub, "quad-betti", _cmd_quad_betti, "rank table of a smooth quadric")
     p.add_argument("r", type=int, help="rank of the quadratic form")
 
-    p = add(sub, "lh-dim", _cmd_lh_dim, "bundle homology dimension by product formula")
-    p.add_argument("--betti", required=True, help="comma-separated base Betti numbers")
+    p = add(sub, "lh-dim", _cmd_lh_dim, "bundle homology dimension by product formula", betti_input)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--quadric-rank", type=int, help="quadric-bundle fiber rank")
     group.add_argument("--projective-fiber", type=int, help="projective-bundle fiber dimension")
     p.add_argument("k", type=int, help="homological degree")
 
-    p = add(sub, "nonsurj", _cmd_nonsurj, "even-rank Gysin nonsurjectivity certificate")
-    p.add_argument("--betti", required=True, help="comma-separated base Betti numbers")
+    p = add(sub, "nonsurj", _cmd_nonsurj, "even-rank Gysin nonsurjectivity certificate", betti_input)
     p.add_argument("--r", type=int, required=True, help="even fiber rank")
     p.add_argument("--d", type=int, required=True, help="base dimension")
 
-    p = add(sub, "torsion", _cmd_torsion, "odd-rank 2-torsion certificate")
-    p.add_argument("--betti", required=True, help="comma-separated base Betti numbers")
+    p = add(sub, "torsion", _cmd_torsion, "odd-rank 2-torsion certificate", betti_input)
     p.add_argument("--r", type=int, required=True, help="odd fiber rank")
     p.add_argument("--d", type=int, required=True, help="base dimension")
 
     p_bounds = sub.add_parser("bounds", help="dimension-bound arithmetic")
-    bounds_sub = p_bounds.add_subparsers(dest="bounds_command", required=True)
+    bounds_sub = p_bounds.add_subparsers(required=True)
     p = add(bounds_sub, "replay", _cmd_bounds_replay, "step-by-step replay of the main bound")
     p.add_argument("N", type=int)
     p.add_argument("r", type=int)

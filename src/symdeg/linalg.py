@@ -27,6 +27,7 @@ colexicographic order.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from . import poly
@@ -242,16 +243,14 @@ def _shared_num_vars(m: PolyMatrix) -> int:
 def _colex_subsets(pool: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
     """The k-subsets of ``pool`` in colex order (largest element first), one at a time.
 
-    For top = k-1, k, ..., each (k-1)-subset of pool[:top] in colex order,
-    then pool[top].  The recursion is k + 1 generator frames deep, at most
-    362, since ``build_hessian``'s ``MAX_LENGTH`` guard caps n at 361.
+    Colex order is increasing bitmask order over the pool's positions, so
+    the dropped positions come in decreasing order: the lex order in which
+    ``combinations`` takes (n - k)-sets from the positions listed last first.
+    There are none when k > n.
     """
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, len(pool)):
-        for head in _colex_subsets(pool[:top], k - 1):
-            yield (*head, pool[top])
+    n = len(pool)
+    for dropped in map(set, combinations(range(n - 1, -1, -1), n - k) if k <= n else ()):
+        yield tuple(x for i, x in enumerate(pool) if i not in dropped)
 
 
 # -- Smith normal form and cokernels ------------------------------------------

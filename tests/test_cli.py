@@ -612,6 +612,54 @@ def test_unknown_argument_before_subcommand_shows_top_level_usage(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (
+            (),
+            "symdeg: error: the following arguments are required: {hessian,rank-at,stratify,"
+            "generic-rank,dual-dim,check-rank-relation,quad-betti,lh-dim,nonsurj,torsion,bounds}",
+        ),
+        (("bounds",), "symdeg bounds: error: the following arguments are required: {replay}"),
+        (
+            ("lh-dim", "--quadric-rank", "4", "2"),
+            "symdeg lh-dim: error: the following arguments are required: --betti",
+        ),
+        (
+            ("nonsurj", "--r", "4", "--d", "1"),
+            "symdeg nonsurj: error: the following arguments are required: --betti",
+        ),
+        (
+            ("torsion", "--r", "5", "--d", "1"),
+            "symdeg torsion: error: the following arguments are required: --betti",
+        ),
+    ],
+    ids=["top-level", "bounds", "lh-dim-betti", "nonsurj-betti", "torsion-betti"],
+)
+def test_a_missing_argument_is_named_in_the_last_error_line(capsys, argv, last_line):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.splitlines()[-1] == last_line
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("nope",), "symdeg: error: argument {hessian,rank-at,stratify,generic-rank,dual-dim,"),
+        (("bounds", "nope"), "symdeg bounds: error: argument {replay}: invalid choice: "),
+    ],
+    ids=["top-level", "bounds"],
+)
+def test_unknown_subcommand_is_named_by_its_choices(capsys, argv, prefix):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert err.splitlines()[-1].startswith(prefix)
+
+
+@pytest.mark.parametrize(
     "argv, expected",
     [
         (

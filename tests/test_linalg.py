@@ -218,11 +218,20 @@ def test_minor_enumeration_is_colexicographic():
     assert row_sets == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
-@pytest.mark.parametrize("pool", [range(6), [2, 3, 7, 9], [], [5]], ids=repr)
+@pytest.mark.parametrize(
+    "pool", [range(6), [2, 3, 7, 9], [], [5], range(9), [1, 4, 5, 8, 13, 21]], ids=repr
+)
 def test_colex_subsets_match_sorted_combinations(pool):
     for k in range(len(pool) + 2):
         expected = sorted(itertools.combinations(pool, k), key=lambda s: s[::-1])
         assert list(_colex_subsets(pool, k)) == expected
+
+
+def test_colex_subsets_walk_a_pool_deeper_than_the_recursion_limit():
+    sets = list(_colex_subsets(range(1100), 1099))
+    assert len(sets) == 1100
+    assert sets[0] == tuple(range(1099))
+    assert sets[-1] == tuple(range(1, 1100))
 
 
 def test_quartic_hessian_full_minor_degree_eight():
