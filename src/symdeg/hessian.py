@@ -14,6 +14,8 @@ comes from one expansion by minors of the whole matrix, or one integer
 elimination when its entries are constant.  The form is symmetric, so
 both witnesses are principal minors.  The hypersurface search starts from the
 ambient certificate and tries C(n, k) index sets per size, not C(n, k)^2.
+Both certificates read only ``hessian`` and ``f``: ``h._replace(f=g)``
+ranks the same matrix on V(g), for any nonconstant squarefree g.
 """
 
 from __future__ import annotations
@@ -33,7 +35,11 @@ Point = Sequence[Fraction | int]
 
 
 class HessianForm(NamedTuple):
-    """Symmetric matrix of second partials with degree bookkeeping."""
+    """Symmetric matrix of second partials with degree bookkeeping.
+
+    The certificates read only ``hessian`` and ``f``, for any symmetric H:
+    ``h._replace(f=g)`` ranks H on V(g), g nonconstant and squarefree.
+    """
 
     f: MultiPoly
     hessian: tuple[tuple[MultiPoly, ...], ...]
@@ -159,7 +165,7 @@ def _reduced_caveat(f: MultiPoly) -> Optional[str]:
     mins = list(map(min, zip(*f.terms)))
     if any(e >= 2 for e in mins):
         return "f is divisible by the square of a variable: the hypersurface is not reduced"
-    if any(e >= 1 for e in mins):
+    if any(e >= 1 for e in mins) and f.total_degree() > 1:
         return "f is divisible by a variable: the hypersurface is reducible"
     return None
 
@@ -192,8 +198,8 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     k found here is max_g rank of H over K_g, which is also the largest
     k with some k x k minor, principal or not, not divisible by f.
     Minors larger than the ambient rank are zero polynomials.
-    Irreducibility of f (one factor g) is the caller's responsibility;
-    a cheap screen flags obviously non-reduced input.
+    f must be squarefree, which the caller ensures: on a square factor the
+    answer is silently wrong.  A cheap screen flags monomial squares.
 
     Only sets of indices whose Hessian row is not zero are tried.  A
     principal set holding a zero row has a zero minor, which the search
@@ -201,15 +207,13 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
     their relative order among all subsets, so the first set that passes,
     and with it the rank, witness and minor, is unchanged.
 
-    Some set passes by k = 1, so the empty minor is never built.  A
-    nonzero H_ii has degree d - 2 < deg f, so f does not divide it, and
-    k = 1 passes.  If instead every H_ii is 0, f has degree at most 1 in
-    each variable; as deg f >= 2, some H_ij != 0, so the ambient rank is
-    at least 2.  The minor on {i, j} is -H_ij^2, of degree 0 in x_i,
-    while x_i has degree 1 in f; so f does not divide it, and k = 2
-    passes.
+    Sizes run down to k = 0, whose minor 1 no nonconstant f divides; a
+    Hessian's own f stops by k = 2, as it divides no nonzero H_ii (degree
+    d - 2) and, when all are 0, no -H_ij^2 (degree 0 in x_i, 1 in f).
     """
     ambient = ambient_rank_certificate(h)
+    if h.f.num_vars != ambient.witness_minor.num_vars or not h.f.total_degree():
+        raise ValueError("f must be a nonconstant polynomial in the matrix's variables")
     r, top = ambient.rank, ambient.witness_rows
     delta = max((x.total_degree() for row in h.hessian for x in row if x), default=0)
     packing = pack, unpack, _ = _packing(h.f.num_vars, max(h.size * delta, h.f.total_degree()))
@@ -218,7 +222,7 @@ def hypersurface_rank_certificate(h: HessianForm) -> RankCertificate:
         return ambient._replace(on_hypersurface=True, caveat=_reduced_caveat(h.f))
     scale, flat = _packed_terms([x for row in h.hessian for x in row], pack)
     live = [i for i, row in enumerate(h.hessian) if any(row)]
-    sets = chain.from_iterable(_colex_subsets(live, k) for k in range(r, 0, -1))
+    sets = chain.from_iterable(_colex_subsets(live, k) for k in range(r, -1, -1))
     for s in dropwhile(lambda s: len(s) == r and s[::-1] <= top[::-1], sets):
         kept, minor = _expand_by_minors([[flat[i * h.size + j] for j in s] for i in s])
         if len(kept) == len(s) and _divide_terms(f, minor, packing) is None:

@@ -36,16 +36,19 @@ def set_by_set_search(h) -> tuple[int, tuple[int, ...], MultiPoly]:
     """(rank, witness, minor) of the hypersurface search, one set at a time.
 
     Principal sets in colex order over the live indices, sizes descending
-    from the ambient rank; each minor comes from ``_pivot_columns_poly``,
-    except the ambient witness's, which is reused, and goes through
-    ``divides``.  The first nonzero minor that f does not divide wins.
+    from the ambient rank to 0; each minor comes from ``_pivot_columns_poly``,
+    except the ambient witness's, which is reused, and the empty set's, which
+    is 1, and goes through ``divides``.  The first nonzero minor that f does
+    not divide wins.
     """
     ambient = ambient_rank_certificate(h)
     live = [i for i, row in enumerate(h.hessian) if any(row)]
-    for k in range(ambient.rank, 0, -1):
+    for k in range(ambient.rank, -1, -1):
         for s in _colex_subsets(live, k):
             if s == ambient.witness_rows:
                 minor = ambient.witness_minor
+            elif not s:
+                minor = MultiPoly.constant(1, h.f.num_vars)
             else:
                 minor = det_poly([[h.hessian[i][j] for j in s] for i in s])
             if not minor.is_zero() and divides(h.f, minor) is None:

@@ -29,6 +29,7 @@ from symdeg.cli import infer_variables
 
 from minors import (
     P, bareiss_mod_p, det_poly, expansion_and_bareiss, minor_dets, set_by_set_search,
+    value_mod_p,
 )
 from test_cli import DENSE_QUADRIC
 
@@ -716,6 +717,68 @@ def test_answer_at_the_ambient_rank_on_a_set_after_the_ambient_witness():
     assert set_by_set_search(h) == (2, (0, 2), minor)
 
 
+# -- divisors other than the Hessian's own f --------------------------------------
+
+# The pencil [[0, x0, x1], [x0, 0, 0], [x1, 0, 0]] is no Hessian: the search
+# reads only the matrix and f.
+PENCIL = HessianForm(
+    f=parse_poly("x0", X[:3]),
+    hessian=tuple(
+        tuple(parse_poly(e, X[:3]) for e in row)
+        for row in [["0", "x0", "x1"], ["x0", "0", "0"], ["x1", "0", "0"]]
+    ),
+    degree=3,
+    ambient_dim=2,
+)
+
+
+def test_ambient_certificate_of_a_pencil():
+    cert = ambient_rank_certificate(PENCIL)
+    assert (cert.rank, cert.witness_rows) == (2, (0, 1))
+    assert cert.witness_minor == parse_poly("-x0^2", X[:3])
+
+
+@pytest.mark.parametrize(
+    "h, rank, witness, minor",
+    [
+        # x0 divides 6*x0, the only nonzero minor besides the empty one
+        (build_hessian(parse_poly("x0^3", X[:1]))._replace(f=parse_poly("x0", X[:1])), 0, (), "1"),
+        # the square of a conic, over its radical: H has rank 1 on X
+        (
+            build_hessian(parse_poly("x0^2*x2^2 + 2*x0*x1^2*x2 + x1^4", X[:3]))._replace(
+                f=parse_poly("x0*x2 + x1^2", X[:3])
+            ),
+            1, (0,), "2*x2^2",
+        ),
+        # a hyperplane is irreducible: no caveat
+        (PENCIL, 2, (0, 2), "-x1^2"),
+    ],
+    ids=["x0^3 over x0", "squared conic over its radical", "pencil over x0"],
+)
+def test_search_on_a_divisor_other_than_f(h, rank, witness, minor):
+    cert = hypersurface_rank_certificate(h)
+    expected = (rank, witness, parse_poly(minor, X[: h.size]))
+    assert (cert.rank, cert.witness_rows, cert.witness_minor) == expected
+    assert set_by_set_search(h) == expected
+    assert cert.witness_cols == witness and cert.on_hypersurface and cert.caveat is None
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        (MultiPoly.constant(2, 3), "f must be a nonconstant polynomial in the matrix's variables"),
+        (parse_poly("x0", X[:2]), "f must be a nonconstant polynomial in the matrix's variables"),
+        (MultiPoly.zero(3), "zero polynomial has no total degree"),
+    ],
+    ids=["constant", "another ring", "zero"],
+)
+def test_search_refuses_a_divisor_it_cannot_rank_on(f, message):
+    h = build_hessian(parse_poly("x0^2*x1 + x1^2*x2 + x2^3", X[:3]))
+    with pytest.raises(ValueError) as caught:
+        hypersurface_rank_certificate(h._replace(f=f))
+    assert str(caught.value) == message
+
+
 def sweep_form(rng):
     """A seeded form in 2-5 variables of degree 2-4: random, a product, a
     square times a form, or a cone over a form in one variable less."""
@@ -742,6 +805,26 @@ def test_packed_search_matches_the_set_by_set_reference_on_a_seeded_sweep():
         assert (cert.rank, cert.witness_rows, cert.witness_minor) == expected, h.f.format()
         past += cert.witness_rows != ambient_rank_certificate(h).witness_rows
     assert past >= 30
+
+
+def hyperplane_draws():
+    """300 seeded pairs (f, a): f from ``sweep_form``, a a linear form in its variables."""
+    rng = random.Random(37)
+    for _ in range(300):
+        f = sweep_form(rng)
+        yield f, random_form(rng, f.num_vars, 1)
+
+
+def test_search_on_a_hyperplane_matches_the_set_by_set_reference_on_a_seeded_sweep():
+    zero = past = 0
+    for f, a in hyperplane_draws():
+        h = build_hessian(f)._replace(f=a)
+        cert = hypersurface_rank_certificate(h)
+        expected = set_by_set_search(h)
+        assert (cert.rank, cert.witness_rows, cert.witness_minor) == expected, (f.format(), a.format())
+        zero += cert.rank == 0
+        past += cert.witness_rows != ambient_rank_certificate(h).witness_rows
+    assert zero >= 5 and past >= 11
 
 
 # -- a rank oracle that shares no arithmetic with src/ ---------------------------
@@ -776,6 +859,34 @@ def test_ranks_match_an_oracle_that_shares_no_arithmetic(f):
     for p, r in zip(points, ranks):
         expected.setdefault(r, []).append(p)
     assert stratify(h, points).buckets == expected
+
+
+def point_on_hyperplane(a, rng):
+    """A point of V(a) in (Z/P)^n, a linear: random coordinates, then a = 0
+    solved for the first coordinate whose coefficient is nonzero mod P."""
+    n = a.num_vars
+    coeffs = [value_mod_p(a, [int(i == j) for j in range(n)]) for i in range(n)]
+    point = [rng.randrange(P) for _ in range(n)]
+    i = next(i for i, c in enumerate(coeffs) if c)
+    point[i] = 0
+    point[i] = -sum(c * x for c, x in zip(coeffs, point)) * pow(coeffs[i], -1, P) % P
+    assert value_mod_p(a, point) == 0
+    return point
+
+
+def test_search_on_a_hyperplane_matches_an_oracle_that_shares_no_arithmetic():
+    # H_f comes from f's terms alone and is ranked at two points of V(a) mod
+    # P = 2^127 - 1.  A principal minor nonzero at such a point is not
+    # divisible by a (Gauss's lemma), so no oracle rank exceeds the certified
+    # one; with these seeds they are equal on every draw.
+    rng = random.Random(127)
+    for f, a in hyperplane_draws():
+        n = f.num_vars
+        m = [[oracle_second_partial(f.terms, n, i, j) for j in range(n)] for i in range(n)]
+        oracle = max(len(bareiss_mod_p(m, point_on_hyperplane(a, rng))[0]) for _ in range(2))
+        rank = hypersurface_rank_certificate(build_hessian(f)._replace(f=a)).rank
+        assert oracle <= rank, (f.format(), a.format())
+        assert oracle == rank, (f.format(), a.format())
 
 
 # -- stratification ------------------------------------------------------------
